@@ -257,11 +257,14 @@ let engine_benchmark () =
 module Cache = Tagsim.Analysis.Cache
 module Run = Tagsim.Analysis.Run
 
+let time_leg leg =
+  let t0 = Unix.gettimeofday () in
+  leg ();
+  Unix.gettimeofday () -. t0
+
 let time_plan () =
   let module Planner = Tagsim.Analysis.Planner in
-  let t0 = Unix.gettimeofday () in
-  ignore (Planner.plan Planner.artifacts);
-  Unix.gettimeofday () -. t0
+  time_leg (fun () -> ignore (Planner.plan Planner.artifacts))
 
 let best_of n leg = List.fold_left min infinity (List.init n (fun _ -> leg ()))
 
@@ -282,22 +285,18 @@ let cache_benchmark () =
     Hashtbl.length seen
   in
   let runs = 3 in
-  (* Both legs also drop the incremental backend's object state (cold
-     additionally wipes its store): the cold leg must pay full
+  (* Both legs drop the in-process memos: the cold leg must pay full
      compiles, and the warm leg's point is that the measurement store
-     alone — not cached objects — reproduces the plan. *)
+     alone reproduces the plan. *)
   let cold_leg () =
     Cache.wipe ();
     Run.clear_cache ();
     Run.reset_frontends ();
-    Tagsim.Objcache.wipe ();
-    Tagsim.Objcache.clear_memo ();
     time_plan ()
   in
   let warm_leg () =
     Run.clear_cache ();
     Run.reset_frontends ();
-    Tagsim.Objcache.clear_memo ();
     time_plan ()
   in
   let cold = best_of runs cold_leg in
@@ -327,146 +326,7 @@ let cache_benchmark () =
   close_out oc;
   Fmt.pr "Cold/warm cache timings written to BENCH_cache.json@."
 
-(* --- Phase 5: backend throughput, monolithic vs incremental. ---
-
-   Pure compilation (no simulation) of the full Table 2 matrix — the
-   low-tag software cell plus every named high5 support row, each with
-   and without full checking, for all ten programs — under the
-   monolithic backend versus the incremental one in three states: cold
-   (object memo dropped and store wiped), warm persistent store (memo
-   dropped, objects reloaded from disk), and warm in-process memo (the
-   steady state of a matrix run, where every unit compiles once and
-   every later cell links cached objects).  Front ends are shared, as
-   in the real pipeline, so the legs time the backend alone.  Best of
-   three per leg; recorded in BENCH_compile.json. *)
-
-module Objcache = Tagsim.Objcache
-
-let compile_matrix () =
-  (* The Table 2 cells (see Analysis.Table2): low-tag software plus
-     every named support row on high5, each with and without full
-     run-time checking. *)
-  let cells =
-    (Tagsim.Scheme.low2, Tagsim.Support.software)
-    :: List.map
-         (fun (_, s) -> (Tagsim.Scheme.high5, s))
-         Tagsim.Support.all_named
-  in
-  List.concat_map
-    (fun entry ->
-      let fe = Tagsim.Program.analyze entry.Tagsim.Benchmarks.source in
-      List.concat_map
-        (fun (scheme, s) ->
-          [ (fe, scheme, s); (fe, scheme, Tagsim.Support.with_checking s) ])
-        cells)
-    (Tagsim.Benchmarks.all ())
-
-let compile_all ?(opt = `None) backend configs =
-  List.iter
-    (fun (fe, scheme, support) ->
-      ignore
-        (Tagsim.Program.compile_frontend ~backend ~opt ~scheme ~support fe))
-    configs
-
-let time_leg leg =
-  let t0 = Unix.gettimeofday () in
-  leg ();
-  Unix.gettimeofday () -. t0
-
-let compile_benchmark () =
-  let configs = compile_matrix () in
-  let n = List.length configs in
-  let runs = 3 in
-  let mono =
-    best_of runs (fun () -> time_leg (fun () -> compile_all `Monolithic configs))
-  in
-  let inc_cold =
-    best_of runs (fun () ->
-        Objcache.clear_memo ();
-        Objcache.wipe ();
-        time_leg (fun () -> compile_all `Incremental configs))
-  in
-  (* The last cold leg left the store fully populated. *)
-  let inc_warm_disk =
-    best_of runs (fun () ->
-        Objcache.clear_memo ();
-        time_leg (fun () -> compile_all `Incremental configs))
-  in
-  Objcache.reset_counters ();
-  let inc_warm =
-    best_of runs (fun () -> time_leg (fun () -> compile_all `Incremental configs))
-  in
-  let hits, misses, _ = Objcache.counters () in
-  (* One instrumented cold leg per optimization level: the backend's
-     own phase accumulator breaks the wall clock into
-     lower/opt/select/schedule/assemble/link, so the pipeline split's
-     cost is visible (and the optimizer's own cost is isolated). *)
-  let instrumented_cold opt =
-    Objcache.clear_memo ();
-    Objcache.wipe ();
-    Tagsim.Bphase.reset ();
-    let total = time_leg (fun () -> compile_all ~opt `Incremental configs) in
-    (total, Tagsim.Bphase.totals ())
-  in
-  let cold_none, ph_none = instrumented_cold `None in
-  let cold_checks, ph_checks = instrumented_cold `Checks in
-  Fmt.pr "@.Backend, full Table 2 compile matrix (%d configurations, best \
-          of %d):@." n runs;
-  Fmt.pr "  monolithic                %8.3f s@." mono;
-  Fmt.pr "  incremental, cold         %8.3f s   (memo dropped, store wiped)@."
-    inc_cold;
-  if Objcache.enabled () then
-    Fmt.pr "  incremental, warm store   %8.3f s   (memo dropped, objects \
-            from disk)@."
-      inc_warm_disk;
-  Fmt.pr "  incremental, warm memo    %8.3f s   (%.1fx vs monolithic; %d \
-          hits, %d misses)@."
-    inc_warm (mono /. inc_warm) hits misses;
-  let pp_phases what total (p : Tagsim.Bphase.totals) =
-    Fmt.pr
-      "  %-25s %8.3f s   (lower %.3f  opt %.3f  select %.3f  schedule %.3f  \
-       assemble %.3f  link %.3f)@."
-      what total p.Tagsim.Bphase.lower_s p.Tagsim.Bphase.opt_s
-      p.Tagsim.Bphase.select_s p.Tagsim.Bphase.schedule_s
-      p.Tagsim.Bphase.assemble_s p.Tagsim.Bphase.link_s
-  in
-  pp_phases "cold phases, opt none" cold_none ph_none;
-  pp_phases "cold phases, opt checks" cold_checks ph_checks;
-  let oc = open_out "BENCH_compile.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"benchmark\": \"backend wall-clock over the full Table 2 compile \
-       matrix, monolithic vs incremental (relocatable objects + linker + \
-       content-addressed object cache)\",\n";
-  out "  \"configurations\": %d,\n" n;
-  out "  \"runs_per_leg\": %d,\n" runs;
-  out "  \"object_store_enabled\": %b,\n" (Objcache.enabled ());
-  out "  \"monolithic_seconds_best\": %.3f,\n" mono;
-  out "  \"incremental_cold_seconds_best\": %.3f,\n" inc_cold;
-  if Objcache.enabled () then
-    out "  \"incremental_warm_store_seconds_best\": %.3f,\n" inc_warm_disk;
-  out "  \"incremental_warm_memo_seconds_best\": %.3f,\n" inc_warm;
-  out "  \"warm_memo_hits\": %d,\n" hits;
-  out "  \"warm_memo_misses\": %d,\n" misses;
-  out "  \"warm_speedup_vs_monolithic\": %.1f,\n" (mono /. inc_warm);
-  let out_phases key total (p : Tagsim.Bphase.totals) term =
-    out "  %S: {\n" key;
-    out "    \"total_seconds\": %.3f,\n" total;
-    out "    \"lower_seconds\": %.3f,\n" p.Tagsim.Bphase.lower_s;
-    out "    \"opt_seconds\": %.3f,\n" p.Tagsim.Bphase.opt_s;
-    out "    \"select_seconds\": %.3f,\n" p.Tagsim.Bphase.select_s;
-    out "    \"schedule_seconds\": %.3f,\n" p.Tagsim.Bphase.schedule_s;
-    out "    \"assemble_seconds\": %.3f,\n" p.Tagsim.Bphase.assemble_s;
-    out "    \"link_seconds\": %.3f\n" p.Tagsim.Bphase.link_s;
-    out "  }%s\n" term
-  in
-  out_phases "cold_phases_opt_none" cold_none ph_none ",";
-  out_phases "cold_phases_opt_checks" cold_checks ph_checks "";
-  out "}\n";
-  close_out oc;
-  Fmt.pr "Backend timings written to BENCH_compile.json@."
-
-(* --- Phase 6: cold-profile vs warm-plan traced-engine start. ---
+(* --- Phase 5: cold-profile vs warm-plan traced-engine start. ---
 
    Per registry program (high5, full checking — the engine-benchmark
    configuration): wall-clock of one full traced run starting from a
@@ -594,7 +454,6 @@ let () =
   let jobs = ref 0 in
   let engines_only = ref false in
   let cache_only = ref false in
-  let compile_only = ref false in
   let traceplan_only = ref false in
   let rec parse = function
     | [] -> ()
@@ -611,33 +470,26 @@ let () =
     | "--cache-only" :: rest ->
         cache_only := true;
         parse rest
-    | "--compile-only" :: rest ->
-        compile_only := true;
-        parse rest
     | "--traceplan-only" :: rest ->
         traceplan_only := true;
         parse rest
     | "--no-cache" :: rest ->
         Cache.set_enabled false;
-        Objcache.set_enabled false;
         Plan.set_enabled false;
         parse rest
     | _ :: rest -> parse rest
   in
   Cache.set_enabled true;
-  Objcache.set_enabled true;
   Plan.set_enabled true;
   parse (List.tl (Array.to_list Sys.argv));
   Tagsim.Analysis.Pool.set_default_jobs !jobs;
   if !engines_only then engine_benchmark ()
   else if !cache_only then cache_benchmark ()
-  else if !compile_only then compile_benchmark ()
   else if !traceplan_only then traceplan_benchmark ()
   else begin
     print_all ();
     benchmark ();
     engine_benchmark ();
     cache_benchmark ();
-    compile_benchmark ();
     traceplan_benchmark ()
   end

@@ -366,9 +366,7 @@ let fuzz_cmd =
    "cache:" and "simulations:" lines to assert a 100% hit rate. *)
 let print_run_summary () =
   let module Cache = Tagsim.Analysis.Cache in
-  let module Objcache = Tagsim.Objcache in
   let hits, misses, writes = Cache.counters () in
-  let ohits, omisses, owrites = Objcache.counters () in
   let compile_s, simulate_s, render_s =
     Tagsim.Analysis.Instrument.totals ()
   in
@@ -379,18 +377,14 @@ let print_run_summary () =
     Fmt.epr "cache: %d hits, %d misses, %d writes (dir %s)@." hits misses
       writes (Cache.dir ())
   else Fmt.epr "cache: disabled@.";
-  Fmt.epr "objects: %d hits, %d misses, %d writes%s@." ohits omisses owrites
-    (if Objcache.enabled () then Fmt.str " (dir %s)" (Objcache.dir ())
-     else " (store disabled)");
   Fmt.epr "simulations: %d@." (Tagsim.Analysis.Run.simulations ());
   Fmt.epr "phases: compile %.2fs  simulate %.2fs  render %.2fs@." compile_s
     simulate_s render_s;
   Fmt.epr
-    "backend: codegen %.2fs  lower %.2fs  opt %.2fs  select %.2fs  schedule \
-     %.2fs  assemble %.2fs  link %.2fs@."
+    "backend: codegen %.2fs  lower %.2fs  opt %.2fs  select %.2fs  assemble \
+     %.2fs@."
     bt.Tagsim.Bphase.codegen_s bt.Tagsim.Bphase.lower_s bt.Tagsim.Bphase.opt_s
-    bt.Tagsim.Bphase.select_s bt.Tagsim.Bphase.schedule_s
-    bt.Tagsim.Bphase.assemble_s bt.Tagsim.Bphase.link_s;
+    bt.Tagsim.Bphase.select_s bt.Tagsim.Bphase.assemble_s;
   let tt = Tagsim.Analysis.Instrument.trace_totals () in
   let pct part whole =
     if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
@@ -423,13 +417,10 @@ let experiments_cmd =
     Tagsim.Analysis.Pool.set_default_jobs jobs;
     Cache.set_dir cache_dir;
     Cache.set_enabled (not no_cache);
-    (* The object store lives beside the measurement store, under the
-       same directory and kill switch. *)
-    Tagsim.Objcache.set_dir (Filename.concat cache_dir "obj");
-    Tagsim.Objcache.set_enabled (not no_cache);
-    (* So does the trace-plan store, with its own additional kill
-       switch: plans change how fast a measurement is reproduced, never
-       what it measures, so they can be toggled independently. *)
+    (* The trace-plan store lives beside the measurement store, under
+       the same directory and kill switch, plus one of its own: plans
+       change how fast a measurement is reproduced, never what it
+       measures, so they can be toggled independently. *)
     Tagsim.Plan.set_dir (Filename.concat cache_dir "plan");
     Tagsim.Plan.set_enabled ((not no_cache) && not no_plan_cache);
     let want name = only = [] || List.mem name only in

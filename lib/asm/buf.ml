@@ -13,16 +13,10 @@ type slot = {
 
 type item = I of slot | L of string | C of string (* comment, for dumps *)
 
-(* The transform a [Tagged] datum applies to a resolved address, together
-   with the serialisable description it was built from ([ty_code] is a
-   {!Tagsim_tags.Scheme.ty_code}): the object cache stores the code and
-   rebuilds the closure against the object's scheme on reload. *)
-type tagger = { ty_code : int; apply : int -> int }
-
 type datum =
   | Word of int
   | Addr of string (* resolved address of a label *)
-  | Tagged of string * tagger (* address of a label, transformed *)
+  | Tagged of string * (int -> int) (* address of a label, transformed *)
   | Space of int (* n zero words *)
   | Align of int (* align to n bytes *)
 
@@ -54,10 +48,10 @@ let align t n = data t (Align n)
 let items t = List.rev t.items
 let data_items t = List.rev t.data
 
-(** Append the contents of [src] to [dst] (used to link compiler output with
-    the runtime).  Fresh-label counters are merged to keep labels unique,
-    provided both buffers used [fresh] with distinct prefixes or were
-    created from the same counter stream. *)
+(** Append the contents of [src] to [dst] (used to put the symbol table
+    ahead of the compiled program).  Fresh-label counters are merged to
+    keep labels unique, provided both buffers used [fresh] with distinct
+    prefixes or were created from the same counter stream. *)
 let append dst src =
   (* Both item lists are stored reversed, so concatenating the reversed
      source in front keeps program order. *)

@@ -29,10 +29,7 @@ type t = {
    valid object address. *)
 let data_base = 64
 
-(* Assemble an already-scheduled item stream and data directive list.
-   This is the linker's entry point: fragments are delay-slot-scheduled
-   per unit, concatenated, and must NOT be re-scheduled here (that would
-   add slots after slots). *)
+(* Assemble an already-scheduled item stream and data directive list. *)
 let of_items (items : Buf.item list)
     (data : (string option * Buf.datum) list) : t =
   (* Pass 1a: code labels. *)
@@ -120,7 +117,7 @@ let of_items (items : Buf.item list)
         match v with
         | `Word w -> w
         | `Addr l -> resolve_any l
-        | `Tagged (l, t) -> t.Buf.apply (resolve_any l)
+        | `Tagged (l, f) -> f (resolve_any l)
       in
       data_words.(a / 4) <- w land Tagsim_mipsx.Word.mask)
     !layout;
@@ -134,8 +131,7 @@ let assemble ?(sched = Sched.default) (buf : Buf.t) : t =
 (* Byte-identity of two images: same resolved code entries, same initial
    data image, same layout bound, and the same addresses for every named
    (non-generated) symbol.  Generated labels — a ["$"]-suffix-digits fresh
-   label, possibly behind a link-time ["u<k>$"] prefix — may differ in
-   name between a monolithically assembled image and a linked one without
+   label — may differ in name between two backends' images without
    affecting a single resolved word, so they are excluded from the symbol
    comparison. *)
 let is_generated_label l =

@@ -25,20 +25,16 @@ val data_base : int
 
 val assemble : ?sched:Sched.config -> Buf.t -> t
 
-(** Assemble an {e already-scheduled} item stream and data directive
-    list (no delay-slot pass is run): the linker's entry point for
-    laying out concatenated per-unit fragments. *)
-val of_items : Buf.item list -> (string option * Buf.datum) list -> t
-
-(** Is a label compiler- or linker-generated (a ["$"]-digits fresh
-    suffix, e.g. ["qp$3"] or a link-renamed ["u2$qp$3"]) rather than a
-    named export like ["f$main"] or ["symtab$count"]? *)
+(** Is a label compiler-generated (a ["$"]-digits fresh suffix, e.g.
+    ["qp$3"]) rather than a named export like ["f$main"] or
+    ["symtab$count"]? *)
 val is_generated_label : string -> bool
 
 (** Byte-identity: same resolved code, same initial data image and
     layout bound, and the same address for every named (non-generated)
-    symbol.  Generated label {e names} may differ (e.g. monolithic vs
-    linked assembly) without affecting any resolved word. *)
+    symbol.  Generated label {e names} may differ (e.g. between the
+    monolithic and the staged backend, which draw fresh labels in a
+    different order) without affecting any resolved word. *)
 val equal : t -> t -> bool
 
 (** Address of a code label; raises {!Error} if unknown. *)

@@ -1,16 +1,13 @@
 (** Wall-clock accounting for the backend's internal phases, mirroring
     the pipeline-level {!Tagsim_analysis.Instrument} (which re-exports
-    these totals): monolithic code generation, the incremental path's
-    lowering / optimization / selection split, per-unit delay-slot
-    scheduling, monolithic assembly, and incremental linking.  The
-    monolithic path schedules inside {!Tagsim_asm.Image.assemble}, so
-    its scheduling time lands in [Assemble]; the incremental path
-    charges [Lower]/[Opt]/[Select] per unit, [Schedule] per unit and
-    [Link] for layout plus relocation patching.  Workers on any domain
+    these totals): monolithic code generation, the staged path's
+    lowering / optimization / selection split, and assembly.  Both
+    backends schedule delay slots inside {!Tagsim_asm.Image.assemble},
+    so scheduling time lands in [Assemble].  Workers on any domain
     accumulate into the shared totals (mutex-protected; the amounts are
     milliseconds-coarse, so one lock is irrelevant). *)
 
-type phase = Codegen | Lower | Opt | Select | Schedule | Assemble | Link
+type phase = Codegen | Lower | Opt | Select | Assemble
 
 type totals = {
   codegen_s : float;
@@ -29,18 +26,14 @@ let codegen_s = ref 0.0
 let lower_s = ref 0.0
 let opt_s = ref 0.0
 let select_s = ref 0.0
-let schedule_s = ref 0.0
 let assemble_s = ref 0.0
-let link_s = ref 0.0
 
 let slot = function
   | Codegen -> codegen_s
   | Lower -> lower_s
   | Opt -> opt_s
   | Select -> select_s
-  | Schedule -> schedule_s
   | Assemble -> assemble_s
-  | Link -> link_s
 
 let add phase dt =
   Mutex.protect mutex (fun () ->
@@ -58,9 +51,9 @@ let totals () =
         lower_s = !lower_s;
         opt_s = !opt_s;
         select_s = !select_s;
-        schedule_s = !schedule_s;
+        schedule_s = 0.0;
         assemble_s = !assemble_s;
-        link_s = !link_s;
+        link_s = 0.0;
       })
 
 let reset () =
@@ -69,6 +62,4 @@ let reset () =
       lower_s := 0.0;
       opt_s := 0.0;
       select_s := 0.0;
-      schedule_s := 0.0;
-      assemble_s := 0.0;
-      link_s := 0.0)
+      assemble_s := 0.0)

@@ -17,6 +17,7 @@
 module Insn = Tagsim_mipsx.Insn
 module Annot = Tagsim_mipsx.Annot
 module Reg = Tagsim_mipsx.Reg
+module Buf = Tagsim_asm.Buf
 module Scheme = Tagsim_tags.Scheme
 module Ast = Tagsim_lisp.Ast
 
@@ -33,19 +34,16 @@ type st = {
   mutable env : (string * Tir.loc) list;
   mutable next_slot : int; (* next frame slot byte offset *)
   mutable reg_locals : int; (* how many pool-top registers are in use *)
-  mutable next_fresh : int;
+  labels : Buf.t; (* the output buffer, for its fresh labels *)
   mutable ops : Tir.op list; (* reversed *)
 }
 
 let emit st op = st.ops <- op :: st.ops
 
-(* Local labels use lowering-private prefixes (disjoint from every
-   prefix {!Select} and {!Tagsim_runtime.Emit} generate through
-   [Buf.fresh]), so a unit's label set stays collision-free. *)
-let fresh st p =
-  let n = st.next_fresh in
-  st.next_fresh <- n + 1;
-  p ^ "$" ^ string_of_int n
+(* Local labels come from the output buffer's counter, like every
+   label {!Select} and {!Tagsim_runtime.Emit} generate, so they stay
+   unique across the whole program. *)
+let fresh st p = Buf.fresh st.labels p
 
 (* Expression temporaries grow from t0 upward; register-cached locals
    are allocated from the top of the same pool downward. *)
@@ -525,7 +523,7 @@ and eval_test ?(likely = false) st d (e : Ast.expr) ~ltrue ~lfalse ~next =
 
 (* --- Function lowering. --- *)
 
-let def symtab funcs (def : Ast.def) : Tir.fn =
+let def labels symtab funcs (def : Ast.def) : Tir.fn =
   if List.length def.Ast.params > max_args then
     errorf "%s: more than %d parameters" def.Ast.name max_args;
   let nslots = List.length def.Ast.params + count_bindings def.Ast.body in
@@ -540,7 +538,7 @@ let def symtab funcs (def : Ast.def) : Tir.fn =
       env = [];
       next_slot = Tir.off_locals n_temp_pool;
       reg_locals = 0;
-      next_fresh = 0;
+      labels;
       ops = [];
     }
   in

@@ -2,7 +2,7 @@
 
     A program is a Lisp source defining [(de main () ...)] plus any number
     of helper functions.  It is compiled together with the prelude
-    (unreachable functions pruned), linked with the runtime, assembled,
+    (unreachable functions pruned) and the runtime, assembled,
     loaded into a simulator instance and run; the decoded result and the
     cycle statistics come back. *)
 
@@ -11,7 +11,6 @@ module Reg = Tagsim_mipsx.Reg
 module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
-module Link = Tagsim_asm.Link
 module Machine = Tagsim_sim.Machine
 module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
@@ -192,136 +191,46 @@ let analyze source : frontend =
     fe_source_lines = count_lines source + retained_prelude_lines;
   }
 
+(* [`Incremental] names the staged path; the name stays only until a
+   benchmark change drops it. *)
 type backend = [ `Monolithic | `Incremental ]
 type opt = Tir.opt
 
-(* The monolithic backend: one buffer, whole-program scheduling inside
-   [Image.assemble].  Kept verbatim as the incremental backend's
-   differential oracle (see [test/suite_link.ml]). *)
-let backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained =
+(* The staged path for one definition: {!Lower} (AST -> TIR), optionally
+   {!Checkelim}, then {!Select}, drawing labels from the shared buffer.
+   At [`None] its output is byte-identical to the oracle's
+   {!Codegen.compile_def} ([test/suite_tir.ml] proves it
+   differentially).  Returns the number of checks eliminated. *)
+let staged_def ~opt symtab funcs ctx d =
+  let tf =
+    Bphase.time Bphase.Lower (fun () -> Lower.def ctx.Emit.b symtab funcs d)
+  in
+  let tf, elided =
+    match opt with
+    | `None -> (tf, 0)
+    | `Checks -> Bphase.time Bphase.Opt (fun () -> Checkelim.run tf)
+  in
+  Bphase.time Bphase.Select (fun () -> Select.fn ctx symtab tf);
+  elided
+
+(* Both backends emit into one buffer: the startup stub, every retained
+   definition through [emit_def], then the runtime routines.  The symbol
+   table must be the first static datum, so it goes ahead of the
+   program, and the whole is delay-slot-scheduled and assembled once.
+   Returns the image and the sum of [emit_def]'s counts. *)
+let emit_program ~sched ~scheme ~support symtab retained emit_def =
   let buf = Buf.create () in
   let ctx = { Emit.b = buf; scheme; support } in
   Bphase.time Bphase.Codegen (fun () ->
-      Rt.emit_startup ctx ~main_label:(L.fn_label "main");
-      List.iter (fun (_, d) -> Codegen.compile_def ctx symtab funcs d) retained;
-      Rt.emit_routines ctx);
-  (* The symbol table must be the first static datum. *)
+      Rt.emit_startup ctx ~main_label:(L.fn_label "main"));
+  let elided =
+    List.fold_left (fun n (_, d) -> n + emit_def ctx d) 0 retained
+  in
+  Bphase.time Bphase.Codegen (fun () -> Rt.emit_routines ctx);
   let final = Buf.create () in
   Symtab.emit_data symtab scheme final;
   Buf.append final buf;
-  Bphase.time Bphase.Assemble (fun () -> Image.assemble ~sched final)
-
-(* The incremental backend: one relocatable object per unit — startup
-   stub, each Lisp function, the runtime routine group — each emitted
-   into a private buffer and delay-slot-scheduled independently, then
-   linked.  Per-unit scheduling is exact, not approximate: every unit
-   starts with a label, and labels are scheduler barriers (both for
-   hoisting and for fall-through pulls), so concatenating
-   unit-scheduled streams yields the very stream whole-program
-   scheduling would produce; [Link.link] then resolves cross-unit
-   references.  Units come from the content-addressed {!Objcache}
-   whenever an identical unit (same content, symbol-table environment,
-   scheme, projected support, scheduler config, optimization level) was
-   compiled before — in this process or, with the persistent store
-   enabled, by an earlier one.  Cache hits skip compilation and
-   scheduling entirely; only the cheap link pass remains.
-
-   Function units run the staged pipeline — {!Lower} (AST -> TIR),
-   optionally {!Checkelim}, then {!Select} — whose opt-off output is
-   byte-identical to {!Codegen.compile_def} (the monolithic oracle
-   above; [test/suite_tir.ml] proves it differentially).  The startup
-   and runtime units contain no user code, so [opt] is projected to
-   [`None] in their keys and they share objects across optimization
-   levels.  Returns the image plus the total number of checks the
-   optimizer eliminated (preserved across cache hits via the objects'
-   [o_elided]). *)
-let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
-  let build_unit emit =
-    let before = Symtab.count symtab in
-    let buf = Buf.create () in
-    let ctx = { Emit.b = buf; scheme; support } in
-    let elided = emit ctx in
-    let frag =
-      Bphase.time Bphase.Schedule (fun () -> Link.fragment_of_buf ~sched buf)
-    in
-    {
-      Objcache.o_frag = frag;
-      o_interned = Symtab.names_from symtab before;
-      o_elided = elided;
-    }
-  in
-  (* The environment fingerprint is taken at the unit's start, and the
-     unit's intern effect is replayed after every lookup (idempotent
-     when the build just performed it), so the symbol table evolves
-     identically on hits and misses and later units key against the
-     same environment either way. *)
-  let cached ~kind ~fingerprint ~support_token ~opt emit =
-    let env = Objcache.env_fingerprint symtab funcs in
-    let k =
-      Objcache.key ~kind ~fingerprint ~env ~scheme ~support_token ~sched ~opt
-    in
-    let o = Objcache.find_or_build ~scheme ~key:k ~build:(fun () -> build_unit emit) in
-    List.iter (fun s -> ignore (Symtab.intern symtab s)) o.Objcache.o_interned;
-    (k, o)
-  in
-  let full_token = Objcache.support_token support in
-  let startup =
-    cached ~kind:"startup" ~fingerprint:(L.fn_label "main")
-      ~support_token:full_token ~opt:`None (fun ctx ->
-        Bphase.time Bphase.Codegen (fun () ->
-            Rt.emit_startup ctx ~main_label:(L.fn_label "main"));
-        0)
-  in
-  let fn_frags =
-    List.map
-      (fun (_, d) ->
-        cached ~kind:"fn" ~fingerprint:(Objcache.def_fingerprint d)
-          ~support_token:
-            (Objcache.support_token ~uses_arith:(Objcache.def_uses_arith d)
-               support)
-          ~opt
-          (fun ctx ->
-            let tf =
-              Bphase.time Bphase.Lower (fun () -> Lower.def symtab funcs d)
-            in
-            let tf, elided =
-              match opt with
-              | `None -> (tf, 0)
-              | `Checks -> Bphase.time Bphase.Opt (fun () -> Checkelim.run tf)
-            in
-            Bphase.time Bphase.Select (fun () -> Select.fn ctx symtab tf);
-            elided))
-      retained
-  in
-  let rt =
-    cached ~kind:"rt" ~fingerprint:"routines" ~support_token:full_token
-      ~opt:`None (fun ctx ->
-        Bphase.time Bphase.Codegen (fun () -> Rt.emit_routines ctx);
-        0)
-  in
-  let units = (startup :: fn_frags) @ [ rt ] in
-  let keys = List.map fst units in
-  let frags = List.map (fun (_, o) -> o.Objcache.o_frag) units in
-  let elided =
-    List.fold_left (fun n (_, o) -> n + o.Objcache.o_elided) 0 units
-  in
-  (* The whole linked image is memoised under the ordered unit-key
-     list: a configuration seen before (the steady state of a matrix
-     run) skips even the link.  On a miss, the symbol-table block —
-     pure data derived from the final table, trivially re-emitted, so
-     never cached itself — leads the layout (code starts with the
-     startup unit, since the block has no code): the table stays the
-     first static datum, at [L.symtab_base]. *)
-  let image =
-    Objcache.find_image ~keys ~build:(fun () ->
-        let symtab_frag =
-          let b = Buf.create () in
-          Symtab.emit_data symtab scheme b;
-          Link.fragment_of_buf ~sched b
-        in
-        Bphase.time Bphase.Link (fun () -> Link.link (symtab_frag :: frags)))
-  in
-  (image, elided)
+  (Bphase.time Bphase.Assemble (fun () -> Image.assemble ~sched final), elided)
 
 let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     ?(sched = Sched.default) ?(sizes = L.default_sizes)
@@ -336,15 +245,19 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
       Symtab.mark_function symtab n ~arity:(List.length d.Ast.params);
       ignore (Symtab.intern symtab n))
     retained;
-  let image, checks_eliminated =
+  let emit_def =
     match backend with
     | `Monolithic ->
         (* The differential oracle ignores [opt]: it always emits the
            unoptimized, fully checked code. *)
-        (backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained, 0)
-    | `Incremental ->
-        backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt
-          retained
+        fun ctx d ->
+          Bphase.time Bphase.Codegen (fun () ->
+              Codegen.compile_def ctx symtab funcs d);
+          0
+    | `Incremental -> staged_def ~opt symtab funcs
+  in
+  let image, checks_eliminated =
+    emit_program ~sched ~scheme ~support symtab retained emit_def
   in
   assert (Image.data_address image L.l_symtab = L.symtab_base);
   (* 5. Metadata for Table 3. *)

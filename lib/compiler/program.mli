@@ -1,7 +1,7 @@
 (** Whole-program compilation, loading and execution: a Lisp source
     defining [(de main () ...)] is compiled with the prelude (unreachable
-    functions pruned), linked with the runtime, assembled, loaded into a
-    simulator instance and run. *)
+    functions pruned) and the runtime into one buffer, assembled, loaded
+    into a simulator instance and run. *)
 
 module Image := Tagsim_asm.Image
 module Sched := Tagsim_asm.Sched
@@ -19,7 +19,7 @@ type meta = {
   source_lines : int; (* non-blank lines of retained source *)
   object_words : int;
   checks_eliminated : int;
-      (* checks the optimizer deleted across all units; 0 under
+      (* checks the optimizer deleted across all functions; 0 under
          [`None] and for the monolithic oracle *)
 }
 
@@ -62,25 +62,24 @@ type frontend = {
     raises {!Error} on malformed sources. *)
 val analyze : string -> frontend
 
-(** Backend selection.  [`Incremental] (the default) compiles one
-    relocatable object per unit — startup stub, each function, the
-    runtime group — schedules each independently, consults the
-    content-addressed {!Objcache}, and links with
-    {!Tagsim_asm.Link.link}; [`Monolithic] is the original
-    single-buffer whole-program path, kept as the differential oracle.
-    Both produce byte-identical images ({!Tagsim_asm.Image.equal}). *)
+(** Backend selection.  [`Incremental] (the default) is the staged
+    path: each retained function goes through {!Lower}, optionally
+    {!Checkelim}, and {!Select}, into one buffer with the startup stub
+    and the runtime routines, assembled once.  [`Monolithic] is the
+    frozen {!Codegen}, kept as the differential oracle.  At [`None]
+    both produce byte-identical images ({!Tagsim_asm.Image.equal}). *)
 type backend = [ `Monolithic | `Incremental ]
 
-(** Optimization level for the incremental backend's TIR pipeline:
+(** Optimization level for the staged backend's TIR pipeline:
     [`None] (default) selects straight from the lowered IR and is
     byte-identical to the monolithic oracle; [`Checks] runs the
     tag-knowledge check-elimination pass ({!Checkelim}) first.  The
     monolithic oracle ignores the knob (always unoptimized). *)
 type opt = Tir.opt
 
-(** The config-dependent back half: lowering, optimization, selection,
-    scheduling, linking (or, for the monolithic backend, whole-program
-    codegen and assembly). *)
+(** The config-dependent back half: lowering, optimization and
+    selection (or, for the monolithic backend, whole-program codegen),
+    then scheduling and assembly. *)
 val compile_frontend :
   ?backend:backend ->
   ?opt:opt ->

@@ -25,7 +25,6 @@ module Insn = Tagsim_mipsx.Insn
 module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
-module Link = Tagsim_asm.Link
 module Machine = Tagsim_sim.Machine
 module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
@@ -47,7 +46,14 @@ module Lower = Tagsim_compiler.Lower
 module Select = Tagsim_compiler.Select
 module Checkelim = Tagsim_compiler.Checkelim
 module Bphase = Tagsim_compiler.Bphase
-module Objcache = Tagsim_compiler.Objcache
+(* No-op object-store stub, kept only until a benchmark change drops it. *)
+module Objcache = struct
+  let set_dir (_ : string) = ()
+  let set_enabled (_ : bool) = ()
+  let clear_memo () = ()
+  let reset_counters () = ()
+  let counters () = (0, 0, 0)
+end
 module Prelude = Tagsim_compiler.Prelude
 module Program = Tagsim_compiler.Program
 module Oracle = Tagsim_compiler.Oracle

@@ -15,7 +15,7 @@
 
     This module holds the plan data type, its (de)serialisation, and a
     persistent store under [_tagsim_cache/plan/] in the mould of
-    {!Cache}/[Objcache]: content-addressed keys, atomic temp+rename
+    [Cache]: content-addressed keys, atomic temp+rename
     writes, and silent recompute (fall back to online formation) on
     damaged, truncated or stale entries.
 
@@ -25,8 +25,8 @@
 
     {b Version stamp.} Bump on any change to the plan format {e or} to
     trace formation semantics (growth heuristics, unroll policy, return
-    matching): unlike [Cache]/[Objcache] — whose stale entries would
-    yield wrong bytes — a stale plan is merely a suboptimal warm start,
+    matching): unlike [Cache] — whose stale entries would yield wrong
+    bytes — a stale plan is merely a suboptimal warm start,
     but the stamp keeps stored plans aligned with what the current
     engine would have formed.  The stamp participates in the key digest
     and heads the payload, so entries from either side of a bump are
@@ -63,7 +63,7 @@ type t = trace list
 
 let head (tr : trace) = tr.pt_segs.(0).ps_pc
 
-(* --- Store configuration (CLI-owned refs, like Cache/Objcache). --- *)
+(* --- Store configuration (CLI-owned refs, like Cache). --- *)
 
 let enabled_flag = ref false
 let dir_ref = ref (Filename.concat "_tagsim_cache" "plan")
@@ -98,9 +98,9 @@ let reset_counters () =
    annotations, speculation flags), so a [Marshal] digest is a faithful
    content fingerprint; the version stamp guards representation drift.
    [No_sharing] matters: the default marshaller encodes in-memory
-   sharing, so structurally equal images — one compiled cold, one
-   relinked from cached objects — would fingerprint differently, and a
-   warm process would never find the plans a cold one flushed. *)
+   sharing, so structurally equal images built along different paths
+   (e.g. by the two backends) would fingerprint differently, and a
+   process would miss plans flushed for an equal image. *)
 let image_fingerprint (image : Image.t) =
   Digest.to_hex
     (Digest.string

@@ -3,7 +3,7 @@
     segment path (leader, terminator, junction, expected successor) and
     the exit, with unroll and return-matching decisions already applied
     — plus a content-addressed persistent store under
-    [_tagsim_cache/plan/] in the mould of [Cache]/[Objcache].  A loaded
+    [_tagsim_cache/plan/] in the mould of [Cache].  A loaded
     plan is re-validated against the live image and pre-compiled on
     attach ({!Trace.precompile}), so a warm process enters the traced
     engine with its superblocks already installed; a damaged, stale or
@@ -14,7 +14,7 @@ module Image := Tagsim_asm.Image
 (** Bump on plan-format or trace-formation changes: participates in the
     key digest and heads the payload, so entries from either side of a
     bump are never hit (see the implementation header for the policy
-    versus [Cache]/[Objcache]). *)
+    versus [Cache]). *)
 val version : string
 
 (** How a planned segment ends, and which successor the path expects.
@@ -60,8 +60,8 @@ val reset_counters : unit -> unit
 
 (** Content fingerprint of an image's code array (instructions,
     annotations, speculation flags).  Sharing-insensitive: structurally
-    equal images fingerprint identically however they were built (cold
-    compile or relink from cached objects). *)
+    equal images fingerprint identically however they were built (e.g.
+    by either backend). *)
 val image_fingerprint : Image.t -> string
 
 (** Store key: digest of the image fingerprint, a caller-supplied

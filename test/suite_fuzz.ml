@@ -190,6 +190,26 @@ let cx_mapcar_arity = "(de h0 ())\n(de main () (mapcar (quote h0) (list nil)))"
    helper whose decrement the shrinker deleted (seed 42). *)
 let cx_stack_overrun = "(de h0 (x) (h0 x))\n(de main () (let ((y (h0 nil))) (get y y)))"
 
+(* Recursion about 3,900 deep overruns the fuzzing stack (128 KiB),
+   and the overrun surfaces as a checked abort ("type error", "arity")
+   rather than a wild fault, where the host oracle, which has no stack
+   limit, returns a value or traps.  The oracle leg now reruns a
+   disagreeing image with an 8x stack before reporting it.  Found by
+   seeds 803 (program 13) and 908 (program 127, shrunk) on the smoke
+   matrix. *)
+let cx_deep_recursion_value =
+  "(de h0 (p0) (if (greaterp p0 0) (+ (car (quote (39))) (h0 (- p0 1))) \
+   (unbox (- (makebox p0) p0))))\n\
+   (de main () (let ((gi (+ (h0 3922) (min -3517 8388607))) (gl (quote \
+   (42)))) (setq gvec (mkvect 3)) (setq gint 23) (let ((li (unbox (- \
+   (makebox (* 8 -20)) 17))) (lv (mkvect 1))) (setq gany gl) (list gi li \
+   (get (quote probe) (quote c))))))"
+
+let cx_deep_recursion_trap =
+  "(de h0 (p0) (+ (funcall (quote h1) p0) (h0 (- p0 1))))\n\
+   (de h1 (p0) (remainder 0 p0))\n\
+   (de main () (let () setq gint (let ((x (h0 3980))))))"
+
 (* On hardware parallel-checking rows (pc-all), a failed tag check
    aborts with the machine's own error code; [Program.abort_message]
    only knew the software stubs' trap codes and printed a raw
@@ -261,6 +281,10 @@ let suite =
           (agree_on "mapcar-arity" cx_mapcar_arity);
         Alcotest.test_case "regression-stack-overrun" `Quick
           (agree_on "stack-overrun" cx_stack_overrun);
+        Alcotest.test_case "regression-deep-recursion-value" `Quick
+          (agree_on "deep-recursion-value" cx_deep_recursion_value);
+        Alcotest.test_case "regression-deep-recursion-trap" `Quick
+          (agree_on "deep-recursion-trap" cx_deep_recursion_trap);
         Alcotest.test_case "regression-hw-type-error" `Quick
           (agree_on "hw-type-error" cx_hw_type_error);
         Alcotest.test_case "regression-hw-type-error-assoc" `Quick

@@ -2,9 +2,9 @@
 
    Three layers of evidence:
    - with optimization off, the lower+select path is byte-identical to
-     the monolithic oracle for every scheme x named support row (the
-     companion of suite_link's differential, over the programs that
-     suite does not cover);
+     the monolithic oracle for every scheme x named support row, on
+     every distinct benchmark source (dedgc is deduce's source with a
+     smaller heap, and sizes do not reach the image);
    - with check elimination on, every benchmark still computes its
      expected value under every scheme and total cycles never increase
      (and under high5/software+rtc the checking-attributed cycles
@@ -124,7 +124,7 @@ let lower_named src name =
       Hashtbl.replace funcs d.Ast.name (List.length d.Ast.params))
     defs;
   let d = List.find (fun (d : Ast.def) -> d.Ast.name = name) defs in
-  Lower.def symtab funcs d
+  Lower.def (Tagsim.Buf.create ()) symtab funcs d
 
 let elided_in src name =
   let _, n = Checkelim.run (lower_named src name) in
@@ -232,6 +232,12 @@ let suite =
           (opt_off_differential "brow");
         Alcotest.test_case "differential-trav" `Slow
           (opt_off_differential "trav");
+        Alcotest.test_case "differential-inter" `Slow
+          (opt_off_differential "inter");
+        Alcotest.test_case "differential-comp" `Slow
+          (opt_off_differential "comp");
+        Alcotest.test_case "differential-frl" `Slow
+          (opt_off_differential "frl");
         Alcotest.test_case "opt-on-differential" `Slow
           test_opt_on_differential;
       ] );
