@@ -326,135 +326,10 @@ let cache_benchmark () =
   close_out oc;
   Fmt.pr "Cold/warm cache timings written to BENCH_cache.json@."
 
-(* --- Phase 5: cold-profile vs warm-plan traced-engine start. ---
-
-   Per registry program (high5, full checking — the engine-benchmark
-   configuration): wall-clock of one full traced run starting from a
-   cold tstate — tier-1 profiling, superblock growth and trace
-   compilation all online — versus one starting warm from the
-   persistent plan store (plans loaded, validated and pre-compiled on
-   attach, zero tier-1 formations).  The program is compiled once and
-   the predecode/fuse attachment caches are shared by both legs, so the
-   delta isolates exactly what the plan store is supposed to remove.
-   The store is seeded to a fixed point first (runs re-flush until no
-   new trace forms, so the warm leg's formation count is zero), then
-   the legs are measured in interleaved rounds, best of [runs] each.
-   Recorded in BENCH_traceplan.json. *)
-
-module Plan = Tagsim.Plan
-
-let traceplan_benchmark () =
-  let was_enabled = Plan.enabled () in
-  let was_dir = Plan.dir () in
-  (* A private, initially empty store: seeding is deterministic (the
-     shared store would union plans across image-sharing programs and
-     earlier invocations, shifting the planned-trace counts).  Wiped
-     and removed on every exit path, including exceptions. *)
-  let plan_dir = Filename.temp_dir "tagsim_bench_plan" "" in
-  Plan.set_dir plan_dir;
-  Plan.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Plan.wipe ();
-      Plan.set_dir was_dir;
-      Plan.set_enabled was_enabled;
-      try Sys.rmdir plan_dir with Sys_error _ -> ())
-  @@ fun () ->
-  let runs = 9 in
-  let rows =
-    List.map
-      (fun pname ->
-        let entry = Tagsim.Benchmarks.find pname in
-        let program =
-          Tagsim.Program.compile ~scheme:Tagsim.Scheme.high5 ~support:chk
-            ~sizes:entry.Tagsim.Benchmarks.sizes
-            entry.Tagsim.Benchmarks.source
-        in
-        let run_once () =
-          let r = Tagsim.Program.run program in
-          assert (r.Tagsim.Program.abort = None)
-        in
-        let formed_of (tt : Tagsim.Machine.trace_totals) =
-          tt.Tagsim.Machine.tt_formed
-        in
-        (* Seed the store to its fixed point: newly installed traces can
-           shift tier-1 heat, so a couple of rounds may each discover a
-           few more heads before the plan covers everything the runs
-           ever promote. *)
-        let rec seed round =
-          Tagsim.Program.drop_tstate program;
-          let before = formed_of (Tagsim.Machine.trace_counters ()) in
-          run_once ();
-          let formed = formed_of (Tagsim.Machine.trace_counters ()) - before in
-          if formed > 0 && round < 5 then seed (round + 1)
-        in
-        seed 0;
-        (* Planned-trace count and warm-formation check, outside the
-           timed region. *)
-        Tagsim.Program.drop_tstate program;
-        let loaded0 = Plan.traces_loaded () in
-        let formed0 = formed_of (Tagsim.Machine.trace_counters ()) in
-        run_once ();
-        let planned = Plan.traces_loaded () - loaded0 in
-        let warm_formed = formed_of (Tagsim.Machine.trace_counters ()) - formed0 in
-        let cold_leg () =
-          Plan.set_enabled false;
-          Tagsim.Program.drop_tstate program;
-          time_leg run_once
-        in
-        let warm_leg () =
-          Plan.set_enabled true;
-          Tagsim.Program.drop_tstate program;
-          time_leg run_once
-        in
-        (* Interleaved rounds, as in the engine benchmark: slow drift
-           hits both legs alike. *)
-        let cold = ref infinity and warm = ref infinity in
-        for _round = 1 to runs do
-          cold := min !cold (cold_leg ());
-          warm := min !warm (warm_leg ())
-        done;
-        Plan.set_enabled true;
-        (pname, planned, warm_formed, !cold, !warm))
-      engine_programs
-  in
-  Fmt.pr "@.Traced-engine start, cold profile vs warm plan (high5, full \
-          checking, best of %d):@." runs;
-  List.iter
-    (fun (pname, planned, warm_formed, cold, warm) ->
-      Fmt.pr
-        "  %-8s cold %8.2f ms   warm %8.2f ms   (%.3fx; %d planned traces, \
-         %d formed warm)@."
-        pname (cold *. 1e3) (warm *. 1e3) (cold /. warm) planned warm_formed)
-    rows;
-  let oc = open_out "BENCH_traceplan.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"benchmark\": \"one full traced-engine run per program, cold \
-       tstate (online tier-1 profiling and trace formation) vs warm start \
-       from the persistent plan store (plans pre-compiled on attach)\",\n";
-  out "  \"scheme\": \"high5\",\n";
-  out "  \"support\": \"software, full checking\",\n";
-  out "  \"runs_per_leg\": %d,\n" runs;
-  out "  \"programs\": [\n";
-  List.iteri
-    (fun i (pname, planned, warm_formed, cold, warm) ->
-      out
-        "    { \"program\": %S, \"planned_traces\": %d, \
-         \"warm_formations\": %d, \"cold_ms_best\": %.3f, \
-         \"warm_ms_best\": %.3f, \"warm_speedup\": %.3f }%s\n"
-        pname planned warm_formed (cold *. 1e3) (warm *. 1e3) (cold /. warm)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  close_out oc;
-  Fmt.pr "Cold/warm trace-plan timings written to BENCH_traceplan.json@."
-
 let () =
   let jobs = ref 0 in
   let engines_only = ref false in
   let cache_only = ref false in
-  let traceplan_only = ref false in
   let rec parse = function
     | [] -> ()
     | ("--jobs" | "-j") :: n :: rest ->
@@ -470,26 +345,19 @@ let () =
     | "--cache-only" :: rest ->
         cache_only := true;
         parse rest
-    | "--traceplan-only" :: rest ->
-        traceplan_only := true;
-        parse rest
     | "--no-cache" :: rest ->
         Cache.set_enabled false;
-        Plan.set_enabled false;
         parse rest
     | _ :: rest -> parse rest
   in
   Cache.set_enabled true;
-  Plan.set_enabled true;
   parse (List.tl (Array.to_list Sys.argv));
   Tagsim.Analysis.Pool.set_default_jobs !jobs;
   if !engines_only then engine_benchmark ()
   else if !cache_only then cache_benchmark ()
-  else if !traceplan_only then traceplan_benchmark ()
   else begin
     print_all ();
     benchmark ();
     engine_benchmark ();
-    cache_benchmark ();
-    traceplan_benchmark ()
+    cache_benchmark ()
   end

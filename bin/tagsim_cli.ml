@@ -395,16 +395,6 @@ let print_run_summary () =
     tt.Tagsim.Machine.tt_formed tt.Tagsim.Machine.tt_entries
     (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
     (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
-  (let phits, pmisses, pwrites, ploaded =
-     Tagsim.Analysis.Instrument.plan_totals ()
-   in
-   if Tagsim.Plan.enabled () then
-     Fmt.epr
-       "plans: %d loaded (%d hits, %d misses), %d formed, %d flushed (dir \
-        %s)@."
-       ploaded phits pmisses tt.Tagsim.Machine.tt_formed pwrites
-       (Tagsim.Plan.dir ())
-   else Fmt.epr "plans: disabled@.");
   match Tagsim.Analysis.Run.dispatch_summary () with
   | Some d -> Fmt.epr "dispatch: %s@." d
   | None -> ()
@@ -413,16 +403,10 @@ let experiments_cmd =
   let module Spec = Tagsim.Analysis.Spec in
   let module Planner = Tagsim.Analysis.Planner in
   let module Cache = Tagsim.Analysis.Cache in
-  let run only jobs engine json csv cache_dir no_cache no_plan_cache verbose =
+  let run only jobs engine json csv cache_dir no_cache verbose =
     Tagsim.Analysis.Pool.set_default_jobs jobs;
     Cache.set_dir cache_dir;
     Cache.set_enabled (not no_cache);
-    (* The trace-plan store lives beside the measurement store, under
-       the same directory and kill switch, plus one of its own: plans
-       change how fast a measurement is reproduced, never what it
-       measures, so they can be toggled independently. *)
-    Tagsim.Plan.set_dir (Filename.concat cache_dir "plan");
-    Tagsim.Plan.set_enabled ((not no_cache) && not no_plan_cache);
     let want name = only = [] || List.mem name only in
     (* One global plan: the union of the requested artifacts' matrices,
        deduplicated and fanned out once over the pool. *)
@@ -482,19 +466,8 @@ let experiments_cmd =
       value & flag
       & info [ "no-cache" ]
           ~doc:
-            "Bypass the persistent measurement cache entirely: neither \
-             read nor write the store.")
-  in
-  let no_plan_cache =
-    Arg.(
-      value & flag
-      & info [ "no-plan-cache" ]
-          ~doc:
-            "Bypass the persistent trace-plan store: the traced engine \
-             profiles and forms its superblocks online instead of \
-             warm-starting from plans persisted by earlier runs \
-             (measurements are bit-identical either way; implied by \
-             $(b,--no-cache)).")
+            "Bypass the persistent measurement cache: neither read nor \
+             write the store, so every measurement is simulated.")
   in
   let verbose =
     Arg.(
@@ -510,7 +483,7 @@ let experiments_cmd =
        ~doc:"Regenerate the paper's tables and figures.")
     Term.(
       const run $ only $ jobs $ engine_arg $ json $ csv $ cache_dir
-      $ no_cache $ no_plan_cache $ verbose)
+      $ no_cache $ verbose)
 
 let () =
   let doc =

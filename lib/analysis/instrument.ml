@@ -49,12 +49,8 @@ let backend_totals () = Tagsim_compiler.Bphase.totals ()
     instrumentation entry point. *)
 let trace_totals () = Tagsim_sim.Machine.trace_counters ()
 
-(** The plan store's counters — plan files hit/missed/written plus
-    superblocks pre-compiled from loaded plans — re-exported from the
-    simulator layer, same single-entry-point rationale. *)
-let plan_totals () =
-  let hits, misses, writes = Tagsim_sim.Plan.counters () in
-  (hits, misses, writes, Tagsim_sim.Plan.traces_loaded ())
+(* Kept only until a benchmark change drops it: there is no plan store. *)
+let plan_totals () = (0, 0, 0, 0)
 
 let reset () =
   Mutex.protect mutex (fun () ->
@@ -62,5 +58,4 @@ let reset () =
       simulate_s := 0.0;
       render_s := 0.0);
   Tagsim_compiler.Bphase.reset ();
-  Tagsim_sim.Machine.reset_trace_counters ();
-  Tagsim_sim.Plan.reset_counters ()
+  Tagsim_sim.Machine.reset_trace_counters ()

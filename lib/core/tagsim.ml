@@ -29,7 +29,6 @@ module Machine = Tagsim_sim.Machine
 module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
-module Plan = Tagsim_sim.Plan
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
 module Support = Tagsim_tags.Support
@@ -53,6 +52,11 @@ module Objcache = struct
   let clear_memo () = ()
   let reset_counters () = ()
   let counters () = (0, 0, 0)
+end
+(* No-op trace-plan store stub, kept only until a benchmark change drops it. *)
+module Plan = struct
+  let set_dir (_ : string) = ()
+  let set_enabled (_ : bool) = ()
 end
 module Prelude = Tagsim_compiler.Prelude
 module Program = Tagsim_compiler.Program

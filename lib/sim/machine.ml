@@ -131,12 +131,7 @@ and block = {
    (CLOCK-style decay on conflict), consulted by trace formation to pick
    the dominant path.  All of it is racily shared across domains by
    design: a torn or stale read can only delay or re-run formation,
-   never corrupt execution — traces are validated like block memos.
-   [ts_plans] mirrors [ts_traces] as pure data: one [Plan.trace] per
-   installed trace (pre-compiled from the persistent plan store or
-   recorded by online formation), so the run's discoveries can be
-   flushed back to disk at run end; [ts_dirty] is set only by online
-   formation, so a fully warm run flushes nothing. *)
+   never corrupt execution — traces are validated like block memos. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;
@@ -146,8 +141,6 @@ and tstate = {
   ts_cnt2 : int array;
   ts_threshold : int;
   ts_form : t -> int -> unit;
-  mutable ts_plans : Plan.trace list; (* newest first *)
-  mutable ts_dirty : bool;
 }
 
 (* A compiled superblock trace: [tr_exec] retires the whole expected

@@ -110,11 +110,8 @@ and block = {
     [ts_threshold] and [ts_form] runs (installing a trace or, when more
     profile is needed, resetting the counter to retry).  Shareable
     between machines running the same image; racy profile updates only
-    delay or repeat formation, never corrupt execution.  [ts_plans]
-    mirrors [ts_traces] as pure data (one {!Plan.trace} per installed
-    trace, newest first) so the run's discoveries can be flushed to the
-    persistent plan store at run end; [ts_dirty] is set only by online
-    formation, so a fully warm run flushes nothing. *)
+    delay or repeat formation, never corrupt execution.  Traces are
+    formed online only: a fresh tstate starts with an empty table. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;
@@ -124,8 +121,6 @@ and tstate = {
   ts_cnt2 : int array;
   ts_threshold : int;
   ts_form : t -> int -> unit;
-  mutable ts_plans : Plan.trace list; (* newest first *)
-  mutable ts_dirty : bool;
 }
 
 (** A compiled superblock trace (built by {!Trace}): [tr_exec] retires

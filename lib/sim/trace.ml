@@ -50,10 +50,8 @@ let min_segments = 2
 
 (* How a trace segment ends, and which successor the path expects:
    a conditional branch guarded on its condition; J/Jal with a static
-   successor, no guard; Jr/Jalr guarded on the latched jump target.
-   Re-exported from [Plan] by type equation — the junction is the part
-   of a grown segment that persists verbatim in a trace plan. *)
-type jct = Plan.jct =
+   successor, no guard; Jr/Jalr guarded on the latched jump target. *)
+type jct =
   | Cond of { expect_taken : bool; target : int }
   | Jump of { link : bool }
   | Indirect of { rs : int; link : bool }
@@ -745,111 +743,6 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
     M.tr_next = None;
   }
 
-(* --- Plans: the pure-data projection of a grown superblock, and the
-   validating compiler that turns a (possibly persisted) plan back into
-   trace closures. --- *)
-
-(* Everything [compile_trace] consumes beyond the planned skeleton —
-   instruction entries, body lengths, squash flags — is a function of
-   the image, so the projection keeps only the path decisions. *)
-let plan_of_segs (segs : seg array) exit_pc : Plan.trace =
-  {
-    Plan.pt_segs =
-      Array.map
-        (fun s ->
-          {
-            Plan.ps_pc = s.sg_pc;
-            ps_stop = s.sg_stop;
-            ps_jct = s.sg_jct;
-            ps_next = s.sg_next;
-          })
-        segs;
-    pt_exit = exit_pc;
-  }
-
-(* Rebuild a growth segment from its planned skeleton, re-deriving the
-   instruction entries from the live image and validating every claim
-   the plan makes: the leader must head a fused block, the shape's
-   terminator must sit where the plan says with fusible slots, and the
-   junction must describe that terminator exactly (the same cases
-   [segment_of] could have produced).  [None] rejects the plan — a
-   stale or damaged entry degrades to online formation, never to wrong
-   execution. *)
-let seg_of_plan (m : M.t) (ps : Plan.seg) : seg option =
-  let n = Array.length m.M.code in
-  let pc = ps.Plan.ps_pc in
-  if pc < 0 || pc >= n || m.M.blocks.(pc) = None then None
-  else
-    let sh = Fuse.shape m pc in
-    match (sh.Fuse.sh_term, sh.Fuse.sh_slots) with
-    | Some e, Fuse.Fused (s1, s2) when sh.Fuse.sh_stop = ps.Plan.ps_stop ->
-        let stop = sh.Fuse.sh_stop in
-        let fall = stop + 3 in
-        let jct = ps.Plan.ps_jct and next = ps.Plan.ps_next in
-        let ok =
-          match (jct, e.Image.insn) with
-          | Jump { link = false }, Insn.J target -> next = target
-          | Jump { link = true }, Insn.Jal target -> next = target
-          | ( Jump { link = false },
-              (Insn.B (_, t) | Insn.Bi (_, t) | Insn.Btag (_, t)) ) ->
-              (* degenerate branch-to-fall-through, non-squashing *)
-              (not sh.Fuse.sh_squash) && t = fall && next = fall
-          | ( Cond { expect_taken; target },
-              (Insn.B (_, t) | Insn.Bi (_, t) | Insn.Btag (_, t)) ) ->
-              target = t && t <> fall
-              && next = (if expect_taken then t else fall)
-          | Indirect { rs; link = false }, Insn.Jr r -> rs = r
-          | Indirect { rs; link = true }, Insn.Jalr r -> rs = r
-          | _ -> false
-        in
-        if ok then
-          Some
-            {
-              sg_pc = pc;
-              sg_stop = stop;
-              sg_len = stop - pc;
-              sg_term = e;
-              sg_s1 = s1;
-              sg_s2 = s2;
-              sg_squash = sh.Fuse.sh_squash;
-              sg_jct = jct;
-              sg_next = next;
-              sg_prob = 1.0; (* growth-only; the compiler never reads it *)
-            }
-        else None
-    | _ -> None
-
-exception Rejected
-
-(* Compile one planned superblock into a trace closure, or [None] when
-   the plan does not validate against this machine's image: segment
-   count within the growth bounds, exit pc in range, every expected
-   successor chaining into the next planned leader (the compiled
-   continuation chain is hardwired on that invariant), and every
-   segment re-validated by {!seg_of_plan}.  A validated plan compiles
-   through the same {!compile_trace} as online formation, so AOT and
-   online traces are the same closures over the same data. *)
-let compile_plan (m : M.t) (p : Plan.trace) : M.trace option =
-  let n = Array.length m.M.code in
-  let k = Array.length p.Plan.pt_segs in
-  let exit_pc = p.Plan.pt_exit in
-  if k < min_segments || k > max_segments || exit_pc < 0 || exit_pc >= n then
-    None
-  else
-    match
-      Array.init k (fun i ->
-          let ps = p.Plan.pt_segs.(i) in
-          let chained =
-            if i = k - 1 then exit_pc else p.Plan.pt_segs.(i + 1).Plan.ps_pc
-          in
-          if ps.Plan.ps_next <> chained then raise Rejected;
-          match seg_of_plan m ps with
-          | Some s -> s
-          | None -> raise Rejected)
-    with
-    | segs -> Some (compile_trace m segs exit_pc)
-    | exception Rejected -> None
-
 (* --- Formation (called by the run loop at the hot threshold). --- *)
 
 let form (t : M.t) head =
@@ -858,65 +751,15 @@ let form (t : M.t) head =
   | Some ts ->
       if ts.M.ts_traces.(head) = None then begin
         match grow t ts head with
-        | Ok (segs, exit_pc) -> (
-            (* Project the grown path to its plan and compile through
-               the plan compiler: online formation and an
-               ahead-of-time warm start are one code path, so a
-               persisted plan can never mean anything the online
-               engine would not have built itself. *)
-            let p = plan_of_segs segs exit_pc in
-            match compile_plan t p with
-            | Some tr ->
-                M.note_trace_formed ();
-                ts.M.ts_traces.(head) <- Some tr;
-                ts.M.ts_plans <- p :: ts.M.ts_plans;
-                ts.M.ts_dirty <- true
-            | None ->
-                (* A freshly grown path always validates; reaching here
-                   would be a growth bug — stay saturated, as for a
-                   structural failure. *)
-                ())
+        | Ok (segs, exit_pc) ->
+            M.note_trace_formed ();
+            ts.M.ts_traces.(head) <- Some (compile_trace t segs exit_pc)
         | Error retryable ->
             (* Retryable heads re-arm the heat counter and try again
                once more edge profile has accumulated; structural
                failures stay saturated so the check never repeats. *)
             if retryable then ts.M.ts_heat.(head) <- 0
       end
-
-(* --- Ahead-of-time warm start. --- *)
-
-(* Install every superblock of a persisted plan whose validation still
-   holds on this machine's image, so the run enters the traced engine
-   with its hot paths already compiled — no tier-1 profiling, heat
-   accumulation or growth for the planned heads.  Traces are recorded
-   in [ts_plans] (so a later flush rewrites the full plan) but do not
-   mark the state dirty: a fully warm run flushes nothing.  Returns the
-   number installed; rejected entries are skipped silently (online
-   formation remains as the fallback). *)
-let precompile (m : M.t) (plan : Plan.t) =
-  match m.M.tstate with
-  | None -> 0
-  | Some ts ->
-      let n = Array.length ts.M.ts_traces in
-      let installed = ref 0 in
-      List.iter
-        (fun (p : Plan.trace) ->
-          if Array.length p.Plan.pt_segs > 0 then
-            let head = Plan.head p in
-            if
-              head >= 0 && head < n
-              && ts.M.ts_traces.(head) = None
-              && Array.length m.M.code = n
-            then
-              match compile_plan m p with
-              | Some tr ->
-                  ts.M.ts_traces.(head) <- Some tr;
-                  ts.M.ts_plans <- p :: ts.M.ts_plans;
-                  incr installed
-              | None -> ())
-        plan;
-      Plan.note_traces_loaded !installed;
-      !installed
 
 (* --- Attachment. --- *)
 
@@ -937,8 +780,6 @@ let attach ?(threshold = default_threshold) (m : M.t) =
             M.ts_cnt2 = Array.make n 0;
             M.ts_threshold = threshold;
             M.ts_form = form;
-            M.ts_plans = [];
-            M.ts_dirty = false;
           }
 
 let create ?fuel ?threshold ~hw image =

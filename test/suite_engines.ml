@@ -73,10 +73,14 @@ let test_engines_agree (entry : B.entry) () =
           let predecoded = P.run ~engine:`Predecoded program in
           let fused = P.run ~engine:`Fused program in
           let traced = P.run ~engine:`Traced program in
+          (* A second run reuses the program's tstate, so it starts with
+             the first run's traces installed before its first dispatch. *)
+          let retraced = P.run ~engine:`Traced program in
           let nm leg = entry.B.name ^ " " ^ cname ^ " " ^ leg in
           check_result (nm "pre") reference predecoded;
           check_result (nm "fus") reference fused;
           check_result (nm "tra") reference traced;
+          check_result (nm "tra2") reference retraced;
           Alcotest.(check (option string))
             (nm "" ^ ": no abort") None reference.P.abort)
         Support.all_named)

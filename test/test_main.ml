@@ -5,4 +5,4 @@ let () =
    @ Suite_differential.suite @ Suite_smoke.suite @ Suite_lang.suite
    @ Suite_configs.suite @ Suite_benchmarks.suite @ Suite_engines.suite
    @ Suite_analysis.suite @ Suite_plan.suite @ Suite_cache.suite
-   @ Suite_tir.suite @ Suite_traceplan.suite @ Suite_fuzz.suite)
+   @ Suite_tir.suite @ Suite_fuzz.suite)
