@@ -11,7 +11,7 @@ test: build
 	dune runtest
 
 # The full gate: build, test suite, and a parallel smoke run of the
-# experiment driver (2 worker domains, fused engine).
+# experiment driver (2 worker domains, traced engine).
 check: build
 	dune runtest
 	dune exec bin/tagsim_cli.exe -- experiments --only table3 --jobs 2

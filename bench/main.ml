@@ -7,7 +7,10 @@
    Phase 2 runs one Bechamel benchmark per table/figure: each measures
    the wall-clock cost of the kernel that regenerates that artifact (a
    representative slice, with the measurement cache out of the way),
-   i.e. the simulator-plus-compiler throughput of this implementation. *)
+   i.e. the simulator-plus-compiler throughput of this implementation.
+
+   Phase 3 measures per-engine simulation throughput and writes
+   BENCH_engines.json; [--engines-only] runs it alone. *)
 
 open Bechamel
 open Toolkit
@@ -117,8 +120,7 @@ let benchmark () =
         (analyze_one test))
     tests
 
-(* --- Phase 3: engine throughput, reference vs predecoded vs fused vs
-   traced. ---
+(* --- Phase 3: engine throughput, reference vs fused vs traced. ---
 
    Every registry program (full checking: software type checks,
    generic-arithmetic traps and the GC), pre-compiled once and
@@ -126,8 +128,7 @@ let benchmark () =
    statistics (test/suite_engines.ml), so any wall-clock gap is pure
    dispatch and accounting overhead.  Reported as simulated MIPS —
    retired simulated instructions per wall-clock second — and recorded
-   in BENCH_engines.json alongside the fused/predecoded and
-   traced/fused speedups. *)
+   in BENCH_engines.json alongside the traced/fused speedup. *)
 
 let engine_programs =
   List.map
@@ -230,10 +231,6 @@ let engine_benchmark () =
             (if j = List.length runs - 1 then "" else ","))
         runs;
       out "      ]";
-      (match (mips_of runs "fused", mips_of runs "predecoded") with
-      | Some f, Some p when p > 0.0 ->
-          out ",\n      \"fused_over_predecoded\": %.2f" (f /. p)
-      | _ -> ());
       (match (mips_of runs "traced", mips_of runs "fused") with
       | Some t, Some f when f > 0.0 ->
           out ",\n      \"traced_over_fused\": %.2f" (t /. f)
@@ -244,92 +241,9 @@ let engine_benchmark () =
   close_out oc;
   Fmt.pr "@.Per-engine throughput written to BENCH_engines.json@."
 
-(* --- Phase 4: cold vs warm persistent measurement cache. ---
-
-   End-to-end wall-clock of the full planner fan-out (every artifact,
-   every program — the work of [tagsim experiments]) with the
-   content-addressed store cold (wiped on disk, memo and shared front
-   ends dropped) versus warm (store populated, in-process state dropped
-   the same way).  Best of three per leg; the warm legs also assert that
-   the store alone reproduces the plan with zero simulations.  Recorded
-   in BENCH_cache.json. *)
-
-module Cache = Tagsim.Analysis.Cache
-module Run = Tagsim.Analysis.Run
-
-let time_leg leg =
-  let t0 = Unix.gettimeofday () in
-  leg ();
-  Unix.gettimeofday () -. t0
-
-let time_plan () =
-  let module Planner = Tagsim.Analysis.Planner in
-  time_leg (fun () -> ignore (Planner.plan Planner.artifacts))
-
-let best_of n leg = List.fold_left min infinity (List.init n (fun _ -> leg ()))
-
-let cache_benchmark () =
-  let module Planner = Tagsim.Analysis.Planner in
-  let module Spec = Tagsim.Analysis.Spec in
-  let was_enabled = Cache.enabled () in
-  Cache.set_enabled true;
-  (* Size of the deduplicated configuration union, for the report. *)
-  let cells =
-    let seen = Hashtbl.create 512 in
-    List.iter
-      (fun (a : Spec.artifact) ->
-        List.iter
-          (fun c -> Hashtbl.replace seen (Run.matrix_key c) ())
-          (a.Spec.a_configs (Tagsim.Benchmarks.all ())))
-      Planner.artifacts;
-    Hashtbl.length seen
-  in
-  let runs = 3 in
-  (* Both legs drop the in-process memos: the cold leg must pay full
-     compiles, and the warm leg's point is that the measurement store
-     alone reproduces the plan. *)
-  let cold_leg () =
-    Cache.wipe ();
-    Run.clear_cache ();
-    Run.reset_frontends ();
-    time_plan ()
-  in
-  let warm_leg () =
-    Run.clear_cache ();
-    Run.reset_frontends ();
-    time_plan ()
-  in
-  let cold = best_of runs cold_leg in
-  (* The last cold leg left the store fully populated. *)
-  Run.reset_simulations ();
-  let warm = best_of runs warm_leg in
-  let warm_sims = Run.simulations () in
-  Cache.set_enabled was_enabled;
-  Fmt.pr "@.Measurement cache, full experiment plan (%d configurations, \
-          best of %d):@." cells runs;
-  Fmt.pr "  cold (wiped store)   %8.3f s@." cold;
-  Fmt.pr "  warm (store only)    %8.3f s   (%.0fx; %d simulations)@." warm
-    (cold /. warm) warm_sims;
-  let oc = open_out "BENCH_cache.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"benchmark\": \"full planner fan-out (the work of 'tagsim \
-       experiments'), persistent measurement cache cold vs warm\",\n";
-  out "  \"configurations\": %d,\n" cells;
-  out "  \"jobs\": %d,\n" !Tagsim.Analysis.Pool.default_jobs;
-  out "  \"runs_per_leg\": %d,\n" runs;
-  out "  \"cold_seconds_best\": %.3f,\n" cold;
-  out "  \"warm_seconds_best\": %.3f,\n" warm;
-  out "  \"warm_speedup\": %.1f,\n" (cold /. warm);
-  out "  \"warm_simulations\": %d\n" warm_sims;
-  out "}\n";
-  close_out oc;
-  Fmt.pr "Cold/warm cache timings written to BENCH_cache.json@."
-
 let () =
   let jobs = ref 0 in
   let engines_only = ref false in
-  let cache_only = ref false in
   let rec parse = function
     | [] -> ()
     | ("--jobs" | "-j") :: n :: rest ->
@@ -342,22 +256,14 @@ let () =
     | "--engines-only" :: rest ->
         engines_only := true;
         parse rest
-    | "--cache-only" :: rest ->
-        cache_only := true;
-        parse rest
-    | "--no-cache" :: rest ->
-        Cache.set_enabled false;
-        parse rest
     | _ :: rest -> parse rest
   in
-  Cache.set_enabled true;
+  Tagsim.Analysis.Cache.set_enabled true;
   parse (List.tl (Array.to_list Sys.argv));
   Tagsim.Analysis.Pool.set_default_jobs !jobs;
   if !engines_only then engine_benchmark ()
-  else if !cache_only then cache_benchmark ()
   else begin
     print_all ();
     benchmark ();
-    engine_benchmark ();
-    cache_benchmark ()
+    engine_benchmark ()
   end

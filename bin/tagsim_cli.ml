@@ -78,8 +78,7 @@ let engine_arg =
         ~doc:
           "Simulator engine: $(b,traced) (default; profile-guided \
            superblock traces over fused blocks), $(b,fused) \
-           (basic-block fused closures with direct chaining), \
-           $(b,predecoded) (per-instruction pre-compiled closures) or \
+           (basic-block fused closures with direct chaining) or \
            $(b,reference) (the re-decoding interpreter).  All produce \
            bit-identical statistics.")
 
@@ -475,8 +474,10 @@ let experiments_cmd =
       & info [ "v"; "verbose" ]
           ~doc:
             "Print a run summary on stderr: worker count, cache \
-             hit/miss/write counters, simulations performed and \
-             per-phase (compile/simulate/render) wall-clock totals.")
+             hit/miss/write counters, simulations performed, per-phase \
+             (compile/simulate/render) wall-clock totals, per-pass \
+             backend totals, trace-engine counters and, when the pool \
+             ran, its dispatch summary.")
   in
   Cmd.v
     (Cmd.info "experiments"

@@ -130,13 +130,7 @@ let matrix_key c =
 
 (* Memo key: engine-qualified, so engine-differential tests can hold
    measurements from several engines at once. *)
-let config_key c =
-  (match c.c_engine with
-  | `Reference -> "ref"
-  | `Predecoded -> "pre"
-  | `Fused -> "fus"
-  | `Traced -> "tra")
-  ^ "/" ^ matrix_key c
+let config_key c = Machine.engine_name c.c_engine ^ "/" ^ matrix_key c
 
 (* The persistent-store key of a configuration: engine-agnostic, like
    [matrix_key], but content-addressed (see {!Cache.key}). *)

@@ -12,7 +12,6 @@ module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Machine = Tagsim_sim.Machine
-module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
 module Stats = Tagsim_sim.Stats
@@ -112,13 +111,11 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Engine-attachment caches: the pre-decoded closure array and the
-     fused block array compiled on the first [load] and installed
-     directly on every later machine for this program (they capture only
-     the image and the hardware configuration, both fixed per program,
-     never the machine).  [[||]] until first use; guarded by length, as
-     in [Predecode.attach]. *)
-  mutable exec_cache : Machine.exec_fn array;
+  (* Engine-attachment cache: the fused block array compiled on the
+     first [load] and installed directly on every later machine for this
+     program (it captures only the image and the hardware configuration,
+     both fixed per program, never the machine).  [[||]] until first
+     use; guarded by length, as in [Fuse.attach]. *)
   mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
       (* the traced engine's heat/edge profile and formed traces,
@@ -273,7 +270,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     sizes;
     mem_bytes;
     meta;
-    exec_cache = [||];
     blocks_cache = [||];
     tstate_cache = None;
   }
@@ -384,26 +380,14 @@ let load ?fuel ?(engine = `Traced) t =
   let code_len = Array.length t.image.Image.code in
   (match engine with
   | `Reference -> ()
-  | `Predecoded ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache
-      else begin
-        Predecode.attach m;
-        t.exec_cache <- m.Machine.exec
-      end
   | `Fused ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache;
       if Array.length t.blocks_cache = code_len then
         m.Machine.blocks <- t.blocks_cache
       else begin
         Fuse.attach m;
-        t.exec_cache <- m.Machine.exec;
         t.blocks_cache <- m.Machine.blocks
       end
   | `Traced ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache;
       if Array.length t.blocks_cache = code_len then
         m.Machine.blocks <- t.blocks_cache;
       (match t.tstate_cache with
@@ -411,7 +395,6 @@ let load ?fuel ?(engine = `Traced) t =
           m.Machine.tstate <- Some ts
       | _ -> ());
       Trace.attach m;
-      t.exec_cache <- m.Machine.exec;
       t.blocks_cache <- m.Machine.blocks;
       t.tstate_cache <- m.Machine.tstate);
   let map =

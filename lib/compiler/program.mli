@@ -34,7 +34,6 @@ type t = {
   (* Engine-attachment caches, compiled on first [load] and shared by
      every later machine for this program (the closures capture only the
      image and hardware configuration, never a machine). *)
-  mutable exec_cache : Machine.exec_fn array;
   mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
 }

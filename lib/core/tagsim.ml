@@ -26,7 +26,6 @@ module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Machine = Tagsim_sim.Machine
-module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
 module Stats = Tagsim_sim.Stats

@@ -9,7 +9,7 @@
       oracle must produce byte-identical images at [`None]
       ({!Tagsim_asm.Image.equal}), and must agree on whether the
       program compiles at all;
-    - all four engines must produce the same outcome, bit-identical
+    - all three engines must produce the same outcome, bit-identical
       {!Tagsim_sim.Stats} and identical GC counters on the same image;
     - [`Checks] must preserve the observable outcome (value or trap)
       whenever run-time checking is on;
@@ -32,7 +32,7 @@ type matrix = {
   m_opts : Program.opt list;
 }
 
-(** One scheme/support pair (high5, software + full checking), all four
+(** One scheme/support pair (high5, software + full checking), all three
     engines, both backends, both opt levels: the [dune runtest] smoke
     matrix. *)
 val smoke : matrix

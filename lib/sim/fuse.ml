@@ -4,8 +4,8 @@
     (leaders: the entry point, every code label, branch/jump targets,
     fall-throughs after a control instruction and its two delay slots,
     and the resumption point after each generic-arithmetic instruction)
-    and fuses each straight-line run of pre-decoded instruction bodies —
-    terminator and delay slots included — into a single block closure;
+    and fuses each straight-line run of instruction bodies — terminator
+    and delay slots included — into a single block closure;
     [Machine.run] on a [`Fused] machine then dispatches once per block
     instead of once per instruction.
 
@@ -23,8 +23,8 @@
     subtracts the pre-summed statistics of the instructions that did not
     execute and refunds their pre-paid fuel, so the engine stays
     bit-identical to the reference interpreter — statistics, abort
-    codes, fuel trajectory and all (enforced by the three-way engine
-    differential suite).
+    codes, fuel trajectory and all (enforced by the engine differential
+    suite).
 
     Delay slots are fused into their branch whenever both slot
     instructions are simple (not control, not generic arithmetic): the
@@ -35,7 +35,11 @@
     update.  Register-indirect jumps latch their target in
     [Machine.jump_target] before the slots run (a slot may clobber the
     register).  Slots ride their branch's top-level retirement, so they
-    consume no fuel of their own.
+    consume no fuel of their own.  A terminator whose slots cannot be
+    fused (a slot holds a control or generic-arithmetic instruction, or
+    runs off the end of code) is left out of the block: the block falls
+    through to it and the run loop retires it with the reference
+    [Machine.step], which runs the slots under the [in_slot] protocol.
 
     The per-step [pending_load] interlock probe survives only at block
     entry (the previous block may end in a load); everywhere else it is
@@ -288,23 +292,17 @@ let squash_of (e : Image.entry) =
 
 type terminator = Ctl of int * Image.entry | Fall of int
 
-(* How the terminator's two delay slots are handled: [No_slots] for the
-   slotless control instructions, [Fused] when both slot instructions
-   are simple enough to fuse into the block, [Dynamic] otherwise (a slot
-   holds a control or generic-arithmetic instruction, or runs off the
-   end of code) — then the slots execute through the per-instruction
-   pre-decoded closures with the [in_slot] protocol intact. *)
-type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic
-
 (* The static layout of the block led by an address: where the
-   straight-line run stops, its terminator (if it does not fall off the
-   end of code), and how the terminator's delay slots behave.  Shared
-   with the trace compiler, which walks block shapes along the hot path
-   instead of re-deriving them. *)
+   straight-line run stops, its terminator when fusion can compile it,
+   and the terminator's delay slots.  A terminator is fused when it is
+   slotless or both its slots are simple (not control, not generic
+   arithmetic); otherwise — and at the end of code — the block falls
+   through to [sh_stop].  Shared with the trace compiler, which walks
+   block shapes along the hot path instead of re-deriving them. *)
 type shape = {
   sh_stop : int; (* first control instruction at/after the leader *)
-  sh_term : Image.entry option; (* None: the block falls off code *)
-  sh_slots : ctl_slots;
+  sh_term : Image.entry option; (* None: the block falls through to sh_stop *)
+  sh_slots : (Image.entry * Image.entry) option; (* None: slotless *)
   sh_squash : bool;
 }
 
@@ -315,23 +313,20 @@ let shape (m : M.t) l =
     if j >= n || Insn.is_control code.(j).Image.insn then j else scan (j + 1)
   in
   let stop = scan l in
-  let term = if stop < n then Some code.(stop) else None in
-  let slots =
-    match term with
-    | Some e -> (
-        match e.Image.insn with
-        | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _ | Insn.Jal _
-        | Insn.Jr _ | Insn.Jalr _ ->
-            let fusible (se : Image.entry) =
-              match se.Image.insn with
-              | Insn.Add_gen _ | Insn.Sub_gen _ -> false
-              | i -> not (Insn.is_control i)
-            in
-            if stop + 2 < n && fusible code.(stop + 1) && fusible code.(stop + 2)
-            then Fused (code.(stop + 1), code.(stop + 2))
-            else Dynamic
-        | _ -> No_slots)
-    | None -> No_slots
+  let fusible (se : Image.entry) =
+    match se.Image.insn with
+    | Insn.Add_gen _ | Insn.Sub_gen _ -> false
+    | i -> not (Insn.is_control i)
+  in
+  let term, slots =
+    if stop >= n then (None, None)
+    else
+      match code.(stop).Image.insn with
+      | Insn.Rett | Insn.Trap _ | Insn.Halt -> (Some code.(stop), None)
+      | _ ->
+          if stop + 2 < n && fusible code.(stop + 1) && fusible code.(stop + 2)
+          then (Some code.(stop), Some (code.(stop + 1), code.(stop + 2)))
+          else (None, None)
   in
   let squash = match term with Some e -> squash_of e | None -> false in
   { sh_stop = stop; sh_term = term; sh_slots = slots; sh_squash = squash }
@@ -364,10 +359,9 @@ let leaders (m : M.t) =
     code;
   leader
 
-(* Effective data address, mirroring [Machine.effective] /
-   [Predecode.compile_simple] but with the instruction's code address
-   resolved statically for the fault message ([t.pc] is stale inside a
-   fused body); returns -1 for a type trap. *)
+(* Effective data address, mirroring [Machine.effective] but with the
+   instruction's code address resolved statically for the fault message
+   ([t.pc] is stale inside a fused body); returns -1 for a type trap. *)
 let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off =
   let offw = Word.of_int off in
   let mem_bytes = hw.M.mem_bytes in
@@ -421,10 +415,12 @@ let contribution (prev : Image.entry option) (e : Image.entry) =
 
 (* Compile one simple instruction into a closure that does only the
    genuinely dynamic work and tail-calls [next]; no-ops and writes to
-   the zero register compile to [next] itself.  On a dynamic exit the
-   closure restores the statistics pre-summed for the unexecuted
-   remainder of the block ([undo]), refunds its pre-paid fuel, and does
-   not call [next]. *)
+   the zero register compile to [next] itself, and the never-trapping
+   ALU operations compile with their operator inlined (no indirect
+   evaluator call on the hot path).  On a dynamic exit the closure
+   restores the statistics pre-summed for the unexecuted remainder of
+   the block ([undo]), refunds its pre-paid fuel, and does not call
+   [next]. *)
 let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
     ~(next : chain_fn) : chain_fn =
   let insn = e.Image.insn in
@@ -435,12 +431,12 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
   match insn with
   | Insn.Nop -> next
   | Insn.Alu (op, rd, rs, rt) -> (
-      let ev = Predecode.alu_fn op in
       match op with
       | Insn.Div | Insn.Rem ->
           (* The charge is pre-summed for the success path; a division
              by zero aborts before charging, so the undo of the suffix
              also takes back this instruction's own cycles. *)
+          let ev = if op = Insn.Div then Word.div else Word.rem in
           let u = Lazy.force undo in
           fun t ->
             let b = t.M.regs.(rt) in
@@ -454,25 +450,127 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
                 t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) b);
               next t
             end
-      | _ ->
-          if rd = Reg.zero then next
-          else fun t ->
-            t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) t.M.regs.(rt));
+      | _ when rd = Reg.zero -> next
+      | Insn.Add ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Sub ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.And ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.logand t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Or ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Xor ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.logxor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Nor ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.lognor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Slt ->
+          fun t ->
+            t.M.regs.(rd) <-
+              (if Word.lt_signed t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
+            next t
+      | Insn.Sltu ->
+          fun t ->
+            t.M.regs.(rd) <-
+              (if Word.lt_unsigned t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
+            next t
+      | Insn.Sll ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Srl ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Sra ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Mul ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) t.M.regs.(rt));
             next t)
-  | Insn.Alui (op, rd, rs, imm) ->
-      if (op = Insn.Div || op = Insn.Rem) && imm = 0 then
-        let u = Lazy.force undo in
-        fun t ->
-          exit_early u t;
-          M.abort t M.err_div0;
-          stopped
-      else if rd = Reg.zero then next
-      else
-        let ev = Predecode.alu_fn op in
-        let immw = Word.of_int imm in
-        fun t ->
-          t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) immw);
-          next t
+  | Insn.Alui ((Insn.Div | Insn.Rem), _, _, 0) ->
+      let u = Lazy.force undo in
+      fun t ->
+        exit_early u t;
+        M.abort t M.err_div0;
+        stopped
+  | Insn.Alui (_, rd, _, _) when rd = Reg.zero -> next
+  | Insn.Alui (op, rd, rs, imm) -> (
+      let b = Word.of_int imm in
+      match op with
+      | Insn.Add ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) b);
+            next t
+      | Insn.Sub ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) b);
+            next t
+      | Insn.And ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logand t.M.regs.(rs) b);
+            next t
+      | Insn.Or ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logor t.M.regs.(rs) b);
+            next t
+      | Insn.Xor ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logxor t.M.regs.(rs) b);
+            next t
+      | Insn.Nor ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.lognor t.M.regs.(rs) b);
+            next t
+      | Insn.Slt ->
+          fun t ->
+            t.M.regs.(rd) <- (if Word.lt_signed t.M.regs.(rs) b then 1 else 0);
+            next t
+      | Insn.Sltu ->
+          fun t ->
+            t.M.regs.(rd) <- (if Word.lt_unsigned t.M.regs.(rs) b then 1 else 0);
+            next t
+      | Insn.Sll ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) b);
+            next t
+      | Insn.Srl ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) b);
+            next t
+      | Insn.Sra ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) b);
+            next t
+      | Insn.Mul ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) b);
+            next t
+      (* [imm] is non-zero here (matched above): no trap. *)
+      | Insn.Div ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.div t.M.regs.(rs) b);
+            next t
+      | Insn.Rem ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.rem t.M.regs.(rs) b);
+            next t)
   | Insn.Li (rd, imm) ->
       if rd = Reg.zero then next
       else
@@ -576,18 +674,54 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
   | Insn.Jalr _ | Insn.Rett | Insn.Trap _ | Insn.Halt ->
       assert false
 
+(* The condition of a conditional branch, pre-resolved with the
+   comparison inlined (no indirect evaluator call on the hot path);
+   mirrors [Machine.cond_eval] and the reference's tag test. *)
+let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
+  match e.Image.insn with
+  | Insn.B (b, _) -> (
+      let rs = b.Insn.rs and rt = b.Insn.rt in
+      match b.Insn.cond with
+      | Insn.Eq -> fun t -> t.M.regs.(rs) = t.M.regs.(rt)
+      | Insn.Ne -> fun t -> t.M.regs.(rs) <> t.M.regs.(rt)
+      | Insn.Lt ->
+          fun t -> Word.to_signed t.M.regs.(rs) < Word.to_signed t.M.regs.(rt)
+      | Insn.Ge ->
+          fun t -> Word.to_signed t.M.regs.(rs) >= Word.to_signed t.M.regs.(rt)
+      | Insn.Gt ->
+          fun t -> Word.to_signed t.M.regs.(rs) > Word.to_signed t.M.regs.(rt)
+      | Insn.Le ->
+          fun t -> Word.to_signed t.M.regs.(rs) <= Word.to_signed t.M.regs.(rt))
+  | Insn.Bi (b, _) -> (
+      let rs = b.Insn.bi_rs in
+      let immw = Word.of_int b.Insn.bi_imm in
+      let imms = Word.to_signed immw in
+      match b.Insn.bi_cond with
+      | Insn.Eq -> fun t -> t.M.regs.(rs) = immw
+      | Insn.Ne -> fun t -> t.M.regs.(rs) <> immw
+      | Insn.Lt -> fun t -> Word.to_signed t.M.regs.(rs) < imms
+      | Insn.Ge -> fun t -> Word.to_signed t.M.regs.(rs) >= imms
+      | Insn.Gt -> fun t -> Word.to_signed t.M.regs.(rs) > imms
+      | Insn.Le -> fun t -> Word.to_signed t.M.regs.(rs) <= imms)
+  | Insn.Btag (b, _) ->
+      let shift = hw.M.tag_shift and width = hw.M.tag_width in
+      let rs = b.Insn.bt_rs in
+      let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
+      if neg then fun t -> Word.field ~shift ~width t.M.regs.(rs) <> tag
+      else fun t -> Word.field ~shift ~width t.M.regs.(rs) = tag
+  | _ -> assert false
+
 (* Fuse the block whose leader is [l].  [stop] is the first control
    instruction at or after [l] (or the end of code).  The scan runs
    straight through intermediate leaders — a block reaching a join point
    duplicates the join's tail instead of falling through into it, so
    only control transfers (and running off the end of code) ever return
    to the dispatch loop; the overlapped instructions still get their own
-   block for direct entries. *)
-let build_block (m : M.t) l : M.block =
+   block for direct entries.  A leader sitting on a terminator that
+   fusion leaves to [Machine.step] leads no block. *)
+let build_block (m : M.t) (sh : shape) l : M.block =
   let hw = m.M.hw in
   let code = m.M.code in
-  let n = Array.length code in
-  let sh = shape m l in
   let stop = sh.sh_stop in
   let len = stop - l in
   let term =
@@ -615,10 +749,10 @@ let build_block (m : M.t) l : M.block =
               contribution prev e)
         else
           match slots with
-          | Fused (s1e, s2e) ->
+          | Some (s1e, s2e) ->
               if k = len + 1 then contribution None s1e
               else contribution (Some s1e) s2e
-          | No_slots | Dynamic -> acc_create ())
+          | None -> acc_create ())
   in
   (* The block-entry delta covers every unit that unconditionally
      retires when the block runs to completion: the body and terminator
@@ -626,7 +760,7 @@ let build_block (m : M.t) l : M.block =
      squashing branch applies the slot delta on its taken path
      instead). *)
   let entry_hi =
-    match slots with Fused _ when not squash -> len + 2 | _ -> len
+    match slots with Some _ when not squash -> len + 2 | _ -> len
   in
   let entry_delta =
     let a = acc_create () in
@@ -686,7 +820,8 @@ let build_block (m : M.t) l : M.block =
               stopped
         | _ -> (
             match slots with
-            | Fused (s1e, s2e) -> (
+            | None -> assert false (* [shape] fuses only slotted terminators *)
+            | Some (s1e, s2e) -> (
                 let post_pl = exit_pl_of s2e.Image.insn in
                 (* Slot faults report the branch's address, like the
                    reference (pc sits on the branch while slots run);
@@ -738,33 +873,11 @@ let build_block (m : M.t) l : M.block =
                   else (slot_chain (goto target), slot_chain (goto fall))
                 in
                 match insn with
-                | Insn.B (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.cond in
-                    let rs = b.Insn.rs and rt = b.Insn.rt in
+                | Insn.B (_, target) | Insn.Bi (_, target) | Insn.Btag (_, target)
+                  ->
+                    let test = cond_test hw e in
                     let on_true, on_false = paths target in
-                    fun t ->
-                      if cmp t.M.regs.(rs) t.M.regs.(rt) then on_true t
-                      else on_false t
-                | Insn.Bi (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.bi_cond in
-                    let rs = b.Insn.bi_rs in
-                    let immw = Word.of_int b.Insn.bi_imm in
-                    let on_true, on_false = paths target in
-                    fun t ->
-                      if cmp t.M.regs.(rs) immw then on_true t else on_false t
-                | Insn.Btag (b, target) ->
-                    let shift = hw.M.tag_shift and width = hw.M.tag_width in
-                    let rs = b.Insn.bt_rs in
-                    let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-                    let on_true, on_false = paths target in
-                    if neg then fun t ->
-                      if Word.field ~shift ~width t.M.regs.(rs) <> tag then
-                        on_true t
-                      else on_false t
-                    else fun t ->
-                      if Word.field ~shift ~width t.M.regs.(rs) = tag then
-                        on_true t
-                      else on_false t
+                    fun t -> if test t then on_true t else on_false t
                 | Insn.J target -> slot_chain (goto target)
                 | Insn.Jal target ->
                     let ch = slot_chain (goto target) in
@@ -787,75 +900,6 @@ let build_block (m : M.t) l : M.block =
                       t.M.jump_target <- t.M.regs.(rs);
                       t.M.regs.(Reg.ra) <- ra_v;
                       ch t
-                | _ -> assert false)
-            | No_slots | Dynamic -> (
-                (* Dynamic slots: run through the per-instruction
-                   pre-decoded closures with the [in_slot] protocol, so
-                   in-slot traps and aborts behave exactly as in the
-                   reference.  [pending_load] is reset first, as the
-                   branch's own [interlock_check] does. *)
-                let slot j : M.t -> unit =
-                  if j < 0 || j >= n then
-                    fun _ -> M.errorf "pc out of range: %d" j
-                  else Predecode.compile_simple hw code.(j)
-                in
-                let s1 = slot (c + 1) and s2 = slot (c + 2) in
-                let exec_slots (t : M.t) =
-                  t.M.in_slot <- true;
-                  s1 t;
-                  if t.M.outcome = None then s2 t;
-                  t.M.in_slot <- false
-                in
-                let squash_slots (t : M.t) =
-                  let s = t.M.stats in
-                  s.Stats.squashed <- s.Stats.squashed + 2;
-                  s.Stats.cycles <- s.Stats.cycles + 2;
-                  s.Stats.kind_cycles.(si) <- s.Stats.kind_cycles.(si) + 2
-                in
-                let finish (t : M.t) ~taken target =
-                  t.M.pending_load <- -1;
-                  if squash && not taken then squash_slots t
-                  else exec_slots t;
-                  if t.M.outcome = None then
-                    if taken then target else fall
-                  else stopped
-                in
-                match insn with
-                | Insn.B (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.cond in
-                    let rs = b.Insn.rs and rt = b.Insn.rt in
-                    fun t ->
-                      finish t ~taken:(cmp t.M.regs.(rs) t.M.regs.(rt)) target
-                | Insn.Bi (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.bi_cond in
-                    let rs = b.Insn.bi_rs in
-                    let immw = Word.of_int b.Insn.bi_imm in
-                    fun t -> finish t ~taken:(cmp t.M.regs.(rs) immw) target
-                | Insn.Btag (b, target) ->
-                    let shift = hw.M.tag_shift and width = hw.M.tag_width in
-                    let rs = b.Insn.bt_rs in
-                    let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-                    fun t ->
-                      let got = Word.field ~shift ~width t.M.regs.(rs) in
-                      finish t
-                        ~taken:(if neg then got <> tag else got = tag)
-                        target
-                | Insn.J target -> fun t -> finish t ~taken:true target
-                | Insn.Jal target ->
-                    let ra_v = c + 3 in
-                    fun t ->
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      finish t ~taken:true target
-                | Insn.Jr rs ->
-                    fun t ->
-                      let target = t.M.regs.(rs) in
-                      finish t ~taken:true target
-                | Insn.Jalr rs ->
-                    let ra_v = c + 3 in
-                    fun t ->
-                      let target = t.M.regs.(rs) in
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      finish t ~taken:true target
                 | _ -> assert false)))
   in
   (* Thread the body through the terminator as one continuation chain,
@@ -897,15 +941,18 @@ let build_block (m : M.t) l : M.block =
 let compile (m : M.t) : M.block option array =
   let n = Array.length m.M.code in
   let leader = leaders m in
-  Array.init n (fun l -> if leader.(l) then Some (build_block m l) else None)
+  Array.init n (fun l ->
+      if not leader.(l) then None
+      else
+        let sh = shape m l in
+        if sh.sh_term = None && sh.sh_stop = l then None
+        else Some (build_block m sh l))
 
-(** Attach the fused engine: ensure the pre-decoded closures are
-    installed (the fused run loop falls back to them for fuel tails and
-    non-leader entry points), then build and install the block array;
-    idempotent (see {!Predecode.attach} for why the staleness test is on
-    lengths). *)
+(** Attach the fused engine: build and install the block array;
+    idempotent.  The staleness test is on lengths, not structural
+    equality with [[||]]: every empty array is the same atom, so an
+    empty-code machine would otherwise recompile on every attach. *)
 let attach (m : M.t) =
-  Predecode.attach m;
   if Array.length m.M.blocks <> Array.length m.M.code then
     m.M.blocks <- compile m
 

@@ -1,5 +1,5 @@
-(** The basic-block fusion engine: straight-line runs of pre-decoded
-    instructions are fused into single block closures with all
+(** The basic-block fusion engine: straight-line runs of instructions
+    are fused into single block closures with all
     statically-knowable statistics (instruction and class counts,
     per-slot cycle charges, in-block load-use interlocks) pre-summed
     into one delta applied on block entry, and successor blocks chained
@@ -10,26 +10,28 @@
     type traps, generic-arithmetic traps, fuel exhaustion), which undo
     the pre-summed statistics and refund the pre-paid fuel of the
     unexecuted block suffix (enforced by the engine differential
-    suite).
+    suite).  A terminator whose delay slots cannot be fused ends no
+    block: the block falls through to it and the run loop retires it
+    with the reference [Machine.step].
 
     The building blocks of fusion — static per-instruction statistics
-    accumulation, flattened deltas, and the continuation-chain compiler
-    for simple instructions — are exposed below for {!Trace}, which
-    reuses them to compile multi-block superblocks; they are not meant
-    for use outside [lib/sim]. *)
+    accumulation, flattened deltas, and the continuation-chain compilers
+    for simple instructions and branch conditions — are exposed below
+    for {!Trace}, which reuses them to compile multi-block superblocks;
+    they are not meant for use outside [lib/sim]. *)
 
 module Image := Tagsim_asm.Image
 module Insn := Tagsim_mipsx.Insn
 
 (** Build the block array for a machine's code (exposed for tests;
     normally use {!attach}).  Index [i] is [Some] iff [i] is a block
-    leader: the entry point, a code label, a branch or jump target, the
+    leader — the entry point, a code label, a branch or jump target, the
     fall-through after a control instruction and its two delay slots, or
-    the resumption point after a generic-arithmetic instruction. *)
+    the resumption point after a generic-arithmetic instruction — other
+    than a terminator whose delay slots cannot be fused. *)
 val compile : Machine.t -> Machine.block option array
 
-(** Install the pre-decoded closures (via {!Predecode.attach}) and the
-    fused block array on the machine; idempotent.  Required before
+(** Install the fused block array on the machine; idempotent.  Required before
     [Machine.run] on a machine created with [~engine:`Fused]. *)
 val attach : Machine.t -> unit
 
@@ -98,7 +100,8 @@ val exit_pl_of : int Insn.t -> int
 val squash_of : Image.entry -> bool
 
 (** Compile one simple (non-control, possibly trapping) instruction
-    into a closure doing only the genuinely dynamic work, tail-calling
+    into a closure doing only the genuinely dynamic work, with the
+    operator of a never-trapping ALU operation inlined, tail-calling
     [next] on the success path.  On a dynamic exit it undoes the
     pre-summed statistics of the unexecuted remainder ([undo]), refunds
     [refund] pre-paid fuel, and does not call [next]. *)
@@ -111,18 +114,20 @@ val compile_op :
   next:chain_fn ->
   chain_fn
 
-(** How a terminator's two delay slots are handled: fused into the
-    block, run dynamically through the per-instruction closures, or
-    absent (slotless control instructions and blocks falling off the end
-    of code). *)
-type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic
+(** The condition of a conditional branch ([B], [Bi] or [Btag]),
+    pre-resolved with the comparison inlined. *)
+val cond_test : Machine.hw -> Image.entry -> Machine.t -> bool
 
 (** The static layout of the block led by an address (shared with the
-    trace compiler, which walks shapes along the hot path). *)
+    trace compiler, which walks shapes along the hot path).  A
+    terminator is fused when it is slotless or both its delay slots are
+    simple (not control, not generic arithmetic); otherwise, and at the
+    end of code, [sh_term] is [None] and the block falls through to
+    [sh_stop]. *)
 type shape = {
   sh_stop : int; (* first control instruction at/after the leader *)
-  sh_term : Image.entry option; (* None: the block falls off code *)
-  sh_slots : ctl_slots;
+  sh_term : Image.entry option; (* None: the block falls through to sh_stop *)
+  sh_slots : (Image.entry * Image.entry) option; (* None: slotless *)
   sh_squash : bool;
 }
 

@@ -28,22 +28,20 @@ let errorf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 (** Execution engine selector.  [`Reference] re-decodes every retired
     instruction (the original interpreter, kept as the semantic
-    baseline); [`Predecoded] runs closures compiled once per image by
-    {!Predecode.attach}; [`Fused] runs basic-block closures compiled by
+    baseline); [`Fused] runs basic-block closures compiled by
     {!Fuse.attach}, dispatching once per block; [`Traced] runs fused
     blocks under an edge-heat profile and promotes hot paths into
     superblock traces compiled by {!Trace} (attached with
     {!Trace.attach}), dispatching once per trace on the hot paths.  All
     engines must produce bit-identical statistics. *)
-type engine = [ `Reference | `Predecoded | `Fused | `Traced ]
+type engine = [ `Reference | `Fused | `Traced ]
 
 let engine_name : engine -> string = function
   | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
   | `Fused -> "fused"
   | `Traced -> "traced"
 
-let engine_all : engine list = [ `Reference; `Predecoded; `Fused; `Traced ]
+let engine_all : engine list = [ `Reference; `Fused; `Traced ]
 
 let engine_by_name s : engine option =
   List.find_opt (fun e -> engine_name e = s) engine_all
@@ -84,9 +82,6 @@ type t = {
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
   engine : engine;
-  mutable exec : exec_fn array;
-      (* one step closure per code entry, installed by Predecode.attach;
-         [||] until then *)
   mutable blocks : block option array;
       (* one fused block per basic-block leader, indexed by leader pc,
          installed by Fuse.attach; [||] until then *)
@@ -94,8 +89,6 @@ type t = {
       (* trace-engine state (heat/edge profile and formed traces),
          installed by Trace.attach; None until then *)
 }
-
-and exec_fn = t -> unit
 
 (* A fused basic block: [b_exec] retires the whole straight-line run
    (body, terminator and its delay slots) in one call, with everything
@@ -197,7 +190,6 @@ let create ?(fuel = 600_000_000) ?(engine = `Reference) ~hw (image : Image.t) =
     fuel;
     in_slot = false;
     engine;
-    exec = [||];
     blocks = [||];
     tstate = None;
   }
@@ -474,42 +466,20 @@ let run_reference t =
   in
   loop ()
 
-(* The pre-decoded hot loop: an array-indexed closure call per retired
-   instruction, no re-decoding.  The closures are built by
-   {!Predecode.attach}. *)
-let run_predecoded t =
-  let exec = t.exec in
-  if Array.length exec <> Array.length t.code then
-    errorf "predecoded engine not attached (use Predecode.attach)";
-  let n = Array.length exec in
-  let rec loop () =
-    match t.outcome with
-    | Some o -> o
-    | None ->
-        if t.fuel <= 0 then raise Out_of_fuel;
-        t.fuel <- t.fuel - 1;
-        let pc = t.pc in
-        if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-        (Array.unsafe_get exec pc) t;
-        loop ()
-  in
-  loop ()
-
 (* The fused hot loop: one closure call per basic block.  Fuel is
    pre-paid per block; when the remaining fuel cannot cover a whole
-   block, the tail runs on the per-instruction predecoded closures so
-   that [Out_of_fuel] fires at the identical retirement count.  The
+   block, the tail runs on the reference [step] so that [Out_of_fuel]
+   fires at the identical retirement count.  So does every pc that
+   leads no block: a non-leader entry, or a terminator whose delay
+   slots fusion leaves to [step] (see {!Fuse.shape}).  The
    successor of a block is memoised in the block itself after its first
    resolution (two slots, most-recent first), so hot loops chain
    directly from block to block without consulting the dispatch
    array. *)
 let run_fused t =
   let blocks = t.blocks in
-  let exec = t.exec in
-  if
-    Array.length blocks <> Array.length t.code
-    || Array.length exec <> Array.length t.code
-  then errorf "fused engine not attached (use Fuse.attach)";
+  if Array.length blocks <> Array.length t.code then
+    errorf "fused engine not attached (use Fuse.attach)";
   let n = Array.length t.code in
   let resolve pc =
     if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
@@ -519,8 +489,7 @@ let run_fused t =
     match t.outcome with
     | Some o -> o
     | None -> (
-        let pc = t.pc in
-        match resolve pc with Some b -> enter b | None -> step_one pc)
+        match resolve t.pc with Some b -> enter b | None -> step_one ())
   and enter b =
     if t.fuel >= b.b_steps then begin
       t.fuel <- t.fuel - b.b_steps;
@@ -541,11 +510,10 @@ let run_fused t =
                     b.b_next1 <- Some nb;
                     enter nb
                 | None ->
-                    (* Non-leader entry: hand the pc back to the
-                       per-instruction engine, which keeps [t.pc]
-                       current itself. *)
+                    (* No block here: hand the pc back to the reference
+                       step, which keeps [t.pc] current itself. *)
                     t.pc <- pc;
-                    step_one pc))
+                    step_one ()))
       else
         match t.outcome with
         | Some o -> o
@@ -557,13 +525,14 @@ let run_fused t =
          when arriving via direct chaining — re-materialise it from the
          block about to (not) run. *)
       t.pc <- b.b_pc;
-      step_one b.b_pc
+      step_one ()
     end
-  and step_one pc =
+  and step_one () =
+    (* One reference retirement at [t.pc], which the callers keep
+       current. *)
     if t.fuel <= 0 then raise Out_of_fuel;
     t.fuel <- t.fuel - 1;
-    if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-    (Array.unsafe_get exec pc) t;
+    step t;
     dispatch ()
   in
   dispatch ()
@@ -621,13 +590,9 @@ let run_traced t =
     | None -> errorf "traced engine not attached (use Trace.attach)"
   in
   let blocks = t.blocks in
-  let exec = t.exec in
   let n = Array.length t.code in
-  if
-    Array.length blocks <> n
-    || Array.length exec <> n
-    || Array.length ts.ts_traces <> n
-  then errorf "traced engine not attached (use Trace.attach)";
+  if Array.length blocks <> n || Array.length ts.ts_traces <> n then
+    errorf "traced engine not attached (use Trace.attach)";
   let traces = ts.ts_traces and heat = ts.ts_heat in
   let succ1 = ts.ts_succ1
   and cnt1 = ts.ts_cnt1
@@ -672,7 +637,7 @@ let run_traced t =
         | Some b -> enter_block b
         | None ->
             t.pc <- pc;
-            step_one pc)
+            step_one ())
   and enter_trace tr =
     if t.fuel >= tr.tr_steps then begin
       incr entries;
@@ -709,7 +674,7 @@ let run_traced t =
       t.pc <- tr.tr_pc;
       match blocks.(tr.tr_pc) with
       | Some b -> exec_block b
-      | None -> step_one tr.tr_pc
+      | None -> step_one ()
     end
   and enter_block b =
     let bpc = b.b_pc in
@@ -744,13 +709,12 @@ let run_traced t =
     end
     else begin
       t.pc <- b.b_pc;
-      step_one b.b_pc
+      step_one ()
     end
-  and step_one pc =
+  and step_one () =
     if t.fuel <= 0 then raise Out_of_fuel;
     t.fuel <- t.fuel - 1;
-    if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-    (Array.unsafe_get exec pc) t;
+    step t;
     dispatch ()
   in
   Fun.protect
@@ -766,6 +730,5 @@ let run_traced t =
 let run t =
   match t.engine with
   | `Reference -> run_reference t
-  | `Predecoded -> run_predecoded t
   | `Fused -> run_fused t
   | `Traced -> run_traced t

@@ -7,13 +7,11 @@
     Three execution engines share this state:
     - [`Reference]: the original interpreter, re-decoding every retired
       instruction ({!step} in a loop);
-    - [`Predecoded]: each image entry is compiled once into a closure by
-      {!Predecode.attach}; {!run} then performs an array-indexed closure
-      call per instruction;
-    - [`Fused]: straight-line runs of pre-decoded instructions are fused
-      into basic-block closures by {!Fuse.attach}; {!run} then dispatches
+    - [`Fused]: straight-line runs of instructions are compiled into
+      basic-block closures by {!Fuse.attach}; {!run} then dispatches
       once per block, with statically-knowable statistics pre-summed and
-      successor blocks chained directly;
+      successor blocks chained directly, and hands every pc that leads
+      no block (and every fuel tail) to {!step};
     - [`Traced]: fused blocks run under a block-entry/edge heat profile
       ({!Trace.attach}); hot paths are promoted to superblock traces —
       one straight-line closure spanning several blocks with a single
@@ -43,7 +41,7 @@ type hw = {
 type outcome = Halted of int | Aborted of int
 
 (** Execution engine selector (see the module header). *)
-type engine = [ `Reference | `Predecoded | `Fused | `Traced ]
+type engine = [ `Reference | `Fused | `Traced ]
 
 (** {1 Engine registry}
 
@@ -57,8 +55,8 @@ val engine_all : engine list
 (** Inverse of {!engine_name}; [None] for an unknown name. *)
 val engine_by_name : string -> engine option
 
-(** The machine state.  The record is exposed so that {!Predecode} and
-    {!Fuse} can compile closures that operate on it directly; treat it
+(** The machine state.  The record is exposed so that {!Fuse} and
+    {!Trace} can compile closures that operate on it directly; treat it
     as read-only outside [lib/sim] and use the accessors below. *)
 type t = {
   hw : hw;
@@ -80,12 +78,9 @@ type t = {
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
   engine : engine;
-  mutable exec : exec_fn array; (* installed by Predecode.attach *)
   mutable blocks : block option array; (* installed by Fuse.attach *)
   mutable tstate : tstate option; (* installed by Trace.attach *)
 }
-
-and exec_fn = t -> unit
 
 (** A fused basic block (built by {!Fuse.attach}): [b_exec] retires the
     whole straight-line run — including the terminator's delay slots —
@@ -177,14 +172,12 @@ val poke : t -> int -> int -> unit
 
 (** {1 Shared instruction semantics}
 
-    Used by both the reference interpreter and the pre-decoder, so the
-    two engines cannot drift. *)
+    Used by the reference interpreter and by the closures of {!Fuse} and
+    {!Trace}, so the engines cannot drift. *)
 
 val read_word : t -> int -> int
 val write_word : t -> int -> int -> unit
 val alu_cycles : Insn.alu -> int
-val alu_eval : Insn.alu -> int -> int -> int
-val cond_eval : Insn.cond -> int -> int -> bool
 val abort : t -> int -> unit
 val errorf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 

@@ -29,7 +29,7 @@
     refunds.  The result is bit-identical {!Stats.t}, abort codes and
     fuel trajectory — [Out_of_fuel] tail included, because a trace
     pre-pays its retirements like a block does and falls back to block
-    granularity when fuel runs short (enforced by the four-way engine
+    granularity when fuel runs short (enforced by the engine
     differential suite). *)
 
 module M = Machine
@@ -110,7 +110,7 @@ let matched_return_prob = 0.99
 let segment_of (m : M.t) (ts : M.tstate) ~ret pc : candidate =
   let sh = Fuse.shape m pc in
   match (sh.Fuse.sh_term, sh.Fuse.sh_slots) with
-  | Some e, Fuse.Fused (s1, s2) -> (
+  | Some e, Some (s1, s2) -> (
       let stop = sh.Fuse.sh_stop in
       let fall = stop + 3 in
       let mk ?(p = 1.0) jct next =
@@ -236,228 +236,6 @@ let compress_sum accs =
   List.iter (Fuse.acc_add a) accs;
   Fuse.compress a
 
-(* The guard condition of a conditional branch, pre-resolved with the
-   comparison inlined (no indirect evaluator call on the hot path). *)
-let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
-  match e.Image.insn with
-  | Insn.B (b, _) -> (
-      let rs = b.Insn.rs and rt = b.Insn.rt in
-      match b.Insn.cond with
-      | Insn.Eq -> fun t -> t.M.regs.(rs) = t.M.regs.(rt)
-      | Insn.Ne -> fun t -> t.M.regs.(rs) <> t.M.regs.(rt)
-      | Insn.Lt ->
-          fun t -> Word.to_signed t.M.regs.(rs) < Word.to_signed t.M.regs.(rt)
-      | Insn.Ge ->
-          fun t -> Word.to_signed t.M.regs.(rs) >= Word.to_signed t.M.regs.(rt)
-      | Insn.Gt ->
-          fun t -> Word.to_signed t.M.regs.(rs) > Word.to_signed t.M.regs.(rt)
-      | Insn.Le ->
-          fun t -> Word.to_signed t.M.regs.(rs) <= Word.to_signed t.M.regs.(rt))
-  | Insn.Bi (b, _) -> (
-      let rs = b.Insn.bi_rs in
-      let immw = Word.of_int b.Insn.bi_imm in
-      let imms = Word.to_signed immw in
-      match b.Insn.bi_cond with
-      | Insn.Eq -> fun t -> t.M.regs.(rs) = immw
-      | Insn.Ne -> fun t -> t.M.regs.(rs) <> immw
-      | Insn.Lt -> fun t -> Word.to_signed t.M.regs.(rs) < imms
-      | Insn.Ge -> fun t -> Word.to_signed t.M.regs.(rs) >= imms
-      | Insn.Gt -> fun t -> Word.to_signed t.M.regs.(rs) > imms
-      | Insn.Le -> fun t -> Word.to_signed t.M.regs.(rs) <= imms)
-  | Insn.Btag (b, _) ->
-      let shift = hw.M.tag_shift and width = hw.M.tag_width in
-      let rs = b.Insn.bt_rs in
-      let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-      if neg then fun t -> Word.field ~shift ~width t.M.regs.(rs) <> tag
-      else fun t -> Word.field ~shift ~width t.M.regs.(rs) = tag
-  | _ -> assert false
-
-(* Trace-tier operation specialisation: the superblock compiler can
-   afford more compile time per instruction than block fusion, so the
-   common never-trapping straight-line operations compile to closures
-   with the operator inlined — no indirect evaluator call on the hot
-   path.  Anything that can trap or touch memory falls back to the
-   shared [Fuse.compile_op]; the computations mirror it exactly. *)
-let spec_op (e : Image.entry) ~(next : Fuse.chain_fn) : Fuse.chain_fn option =
-  match e.Image.insn with
-  | Insn.Nop -> Some next
-  | Insn.Alu (op, rd, rs, rt) -> (
-      match op with
-      | Insn.Div | Insn.Rem -> None
-      | _ when rd = Reg.zero -> Some next
-      | Insn.Add ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Sub ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.And ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logand t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Or ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Xor ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logxor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Nor ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.lognor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Slt ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int
-                  (if Word.lt_signed t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
-              next t)
-      | Insn.Sltu ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int
-                  (if Word.lt_unsigned t.M.regs.(rs) t.M.regs.(rt) then 1
-                   else 0);
-              next t)
-      | Insn.Sll ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Srl ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Sra ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Mul ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) t.M.regs.(rt));
-              next t))
-  | Insn.Alui (op, rd, rs, imm) -> (
-      if (op = Insn.Div || op = Insn.Rem) && imm = 0 then None
-      else if rd = Reg.zero then Some next
-      else
-        let b = Word.of_int imm in
-        match op with
-        | Insn.Add ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) b);
-                next t)
-        | Insn.Sub ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) b);
-                next t)
-        | Insn.And ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logand t.M.regs.(rs) b);
-                next t)
-        | Insn.Or ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logor t.M.regs.(rs) b);
-                next t)
-        | Insn.Xor ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logxor t.M.regs.(rs) b);
-                next t)
-        | Insn.Nor ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.lognor t.M.regs.(rs) b);
-                next t)
-        | Insn.Slt ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <-
-                  Word.of_int (if Word.lt_signed t.M.regs.(rs) b then 1 else 0);
-                next t)
-        | Insn.Sltu ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <-
-                  Word.of_int (if Word.lt_unsigned t.M.regs.(rs) b then 1 else 0);
-                next t)
-        | Insn.Sll ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) b);
-                next t)
-        | Insn.Srl ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) b);
-                next t)
-        | Insn.Sra ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) b);
-                next t)
-        | Insn.Mul ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) b);
-                next t)
-        | Insn.Div ->
-            (* [imm] is a compile-time non-zero constant: no trap. *)
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.div t.M.regs.(rs) b);
-                next t)
-        | Insn.Rem ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.rem t.M.regs.(rs) b);
-                next t))
-  | Insn.Li (rd, imm) ->
-      if rd = Reg.zero then Some next
-      else
-        let v = Word.of_int imm in
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- v;
-            next t)
-  | Insn.La (rd, addr) ->
-      if rd = Reg.zero then Some next
-      else
-        let v = Word.of_int addr in
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- v;
-            next t)
-  | Insn.Mv (rd, rs) ->
-      if rd = Reg.zero then Some next
-      else
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- t.M.regs.(rs);
-            next t)
-  | _ -> None
-
 (* Compile the expected path of [segs] into one continuation chain with
    one entry delta, building right to left so each junction knows the
    chain, the pre-summed statistics and the pre-paid fuel of everything
@@ -465,13 +243,6 @@ let spec_op (e : Image.entry) ~(next : Fuse.chain_fn) : Fuse.chain_fn option =
 let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   let hw = m.M.hw in
   let code = m.M.code in
-  (* Specialised closure when the operation cannot trap, shared
-     compiler otherwise. *)
-  let op_of e ~pc ~undo ~refund ~(next : Fuse.chain_fn) =
-    match spec_op e ~next with
-    | Some f -> f
-    | None -> Fuse.compile_op hw e ~pc ~undo ~refund ~next
-  in
   let k = Array.length segs in
   let slots_run i =
     (* Annulled only when the expected path falls through a squashing
@@ -576,11 +347,11 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
        fuel is refunded). *)
     let on_slots cont2 =
       let s2op =
-        op_of s.sg_s2 ~pc:c
+        Fuse.compile_op hw s.sg_s2 ~pc:c
           ~undo:(undo_from ?extra:(div_extra s.sg_s2) (len + 3))
           ~refund:ra_ref ~next:cont2
       in
-      op_of s.sg_s1 ~pc:c
+      Fuse.compile_op hw s.sg_s1 ~pc:c
         ~undo:(undo_from ?extra:(div_extra s.sg_s1) (len + 2))
         ~refund:ra_ref ~next:s2op
     in
@@ -593,11 +364,11 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
         pc_off
       in
       let s2op =
-        op_of s.sg_s2 ~pc:c
+        Fuse.compile_op hw s.sg_s2 ~pc:c
           ~undo:(empty_undo ?extra:(div_extra s.sg_s2) ())
           ~refund:0 ~next:fin
       in
-      op_of s.sg_s1 ~pc:c
+      Fuse.compile_op hw s.sg_s1 ~pc:c
         ~undo:
           (lazy
             (let a = Fuse.acc_create () in
@@ -646,7 +417,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
       | Cond { expect_taken; target } ->
           let fall = c + 3 in
           let pc_off = if expect_taken then fall else target in
-          let test = cond_test hw s.sg_term in
+          let test = Fuse.cond_test hw s.sg_term in
           if not s.sg_squash then begin
             (* Slots run on both paths with identical statistics; the
                side exit only owes the later segments. *)
@@ -703,7 +474,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
       else
         let e = code.(l + u) in
         body (u - 1)
-          (op_of e ~pc:(l + u)
+          (Fuse.compile_op hw e ~pc:(l + u)
              ~undo:(undo_from ?extra:(div_extra e) (u + 1))
              ~refund:(len - u + ra_ref)
              ~next)

@@ -7,12 +7,13 @@
     within the length bound — and compiles it to one straight-line
     continuation chain with a single pre-summed statistics delta —
     cross-junction delay-slot interlocks and squashing-branch annul
-    accounting statically resolved, never-trapping operations
-    specialised with their operators inlined — and guarded side exits
-    that roll statistics and fuel back to the exact per-block values.  [Machine.run] on a [`Traced] machine dispatches
-    once per trace on hot paths and stays bit-identical to the
-    reference interpreter, [Out_of_fuel] tail included (enforced by the
-    four-way engine differential suite). *)
+    accounting statically resolved, operations compiled by the fused
+    engine's {!Fuse.compile_op} — and guarded side exits that roll
+    statistics and fuel back to the exact per-block values.
+    [Machine.run] on a [`Traced] machine dispatches once per trace on
+    hot paths and stays bit-identical to the reference interpreter,
+    [Out_of_fuel] tail included (enforced by the engine differential
+    suite). *)
 
 module Image := Tagsim_asm.Image
 

@@ -1,10 +1,10 @@
-(* Differential engine testing.  The predecoded closure engine
-   (Tagsim.Predecode), the basic-block fusion engine (Tagsim.Fuse) and
-   the superblock trace engine (Tagsim.Trace) must be observationally
-   identical to the reference interpreter: every registry benchmark is
-   compiled once per (scheme x named support) configuration and
-   simulated under all four engines, and the result value, abort
-   status, GC counters and every Stats counter must match exactly.
+(* Differential engine testing.  The basic-block fusion engine
+   (Tagsim.Fuse) and the superblock trace engine (Tagsim.Trace) must be
+   observationally identical to the reference interpreter: every
+   registry benchmark is compiled once per (scheme x named support)
+   configuration and simulated under all three engines, and the result
+   value, abort status, GC counters and every Stats counter must match
+   exactly.
    Targeted raw images then exercise the dynamic-exit paths, where the
    pre-summed block and trace statistics must be unwound:
    generic-arithmetic traps with a [rett] resume, squashing branches,
@@ -13,7 +13,10 @@
    statically or probed at a block boundary, hot-loop trace promotion,
    and every superblock side exit (branch misprediction, squash
    annulment both ways, indirect-jump guard failure, traps and fuel
-   exhaustion mid-trace).  The parallel measurement pool must likewise
+   exhaustion mid-trace).  Further raw images reach the hand-off to the
+   reference step that no registry benchmark exercises: a branch whose
+   delay slot holds generic arithmetic (which fusion leaves unfused) and
+   an indirect jump into the middle of a straight-line run.  The parallel measurement pool must likewise
    be oblivious to the worker count. *)
 
 module P = Tagsim.Program
@@ -23,7 +26,6 @@ module Support = Tagsim.Support
 module Run = Tagsim.Analysis.Run
 module B = Tagsim.Benchmarks
 module Machine = Tagsim.Machine
-module Predecode = Tagsim.Predecode
 module Fuse = Tagsim.Fuse
 module Trace = Tagsim.Trace
 module Insn = Tagsim.Insn
@@ -70,14 +72,12 @@ let test_engines_agree (entry : B.entry) () =
             P.compile_frontend ~sizes:entry.B.sizes ~scheme ~support fe
           in
           let reference = P.run ~engine:`Reference program in
-          let predecoded = P.run ~engine:`Predecoded program in
           let fused = P.run ~engine:`Fused program in
           let traced = P.run ~engine:`Traced program in
           (* A second run reuses the program's tstate, so it starts with
              the first run's traces installed before its first dispatch. *)
           let retraced = P.run ~engine:`Traced program in
           let nm leg = entry.B.name ^ " " ^ cname ^ " " ^ leg in
-          check_result (nm "pre") reference predecoded;
           check_result (nm "fus") reference fused;
           check_result (nm "tra") reference traced;
           check_result (nm "tra2") reference retraced;
@@ -103,37 +103,34 @@ let run_raw ?fuel ?threshold ?(setup = fun _ -> ()) image engine =
   let m = Machine.create ?fuel ~engine ~hw image in
   (match engine with
   | `Reference -> ()
-  | `Predecoded -> Predecode.attach m
   | `Fused -> Fuse.attach m
   | `Traced -> Trace.attach ?threshold m);
   Machine.set_reg m Reg.rmask scheme.Scheme.data_mask;
   setup m;
   let outcome =
-    try `Done (Machine.run m) with Machine.Out_of_fuel -> `Fuel
+    try `Done (Machine.run m) with
+    | Machine.Out_of_fuel -> `Fuel
+    | Machine.Machine_error msg -> `Error msg
   in
   (outcome, Machine.stats m)
 
 let outcome_str = function
   | `Fuel -> "out-of-fuel"
+  | `Error msg -> "error: " ^ msg
   | `Done (Machine.Halted v) -> Printf.sprintf "halted %d" v
   | `Done (Machine.Aborted c) -> Printf.sprintf "aborted %d" c
 
-(* Run under all four engines; reference is ground truth.  [threshold]
+(* Run under all three engines; reference is ground truth.  [threshold]
    only lowers the traced engine's promotion threshold so short unit
    loops get hot. *)
-let check_four name ?fuel ?threshold ?setup image =
+let check_engines name ?fuel ?threshold ?setup image =
   let ro, rs = run_raw ?fuel ?setup image `Reference in
-  let po, ps = run_raw ?fuel ?setup image `Predecoded in
   let fo, fs = run_raw ?fuel ?setup image `Fused in
   let to_, ts = run_raw ?fuel ?threshold ?setup image `Traced in
-  Alcotest.(check string)
-    (name ^ ": predecoded outcome") (outcome_str ro) (outcome_str po);
   Alcotest.(check string)
     (name ^ ": fused outcome") (outcome_str ro) (outcome_str fo);
   Alcotest.(check string)
     (name ^ ": traced outcome") (outcome_str ro) (outcome_str to_);
-  Alcotest.(check bool)
-    (name ^ ": predecoded stats") true (Stats.equal rs ps);
   Alcotest.(check bool) (name ^ ": fused stats") true (Stats.equal rs fs);
   Alcotest.(check bool) (name ^ ": traced stats") true (Stats.equal rs ts);
   (ro, rs)
@@ -171,7 +168,7 @@ let test_garith_rett () =
       ~add:(Image.code_address image "gadd")
       ~sub:(Image.code_address image "gadd")
   in
-  let r = check_four "garith-rett" ~setup image in
+  let r = check_engines "garith-rett" ~setup image in
   expect_outcome "garith-rett" "halted 43" r;
   Alcotest.(check int) "garith-rett: one trap" 1 (snd r).Stats.traps
 
@@ -201,7 +198,7 @@ let test_squash_branch () =
         Buf.label b "bad";
         Buf.emit b (Insn.Trap 1))
   in
-  let r = check_four "squash-branch" image in
+  let r = check_engines "squash-branch" image in
   expect_outcome "squash-branch" "halted 0" r;
   Alcotest.(check int) "squash-branch: two squashed slots" 2
     (snd r).Stats.squashed;
@@ -223,13 +220,13 @@ let test_fuel_exhaustion () =
         Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "fuel-mid-block" ~fuel:5 image in
+  let r = check_engines "fuel-mid-block" ~fuel:5 image in
   expect_outcome "fuel-mid-block" "out-of-fuel" r;
   Alcotest.(check int) "fuel-mid-block: five retirements" 5
     (Stats.executed_insns (snd r));
   (* one fuel step past the block's end: the halt still fires *)
   expect_outcome "fuel-after-block" "halted 10"
-    (check_four "fuel-after-block" ~fuel:12 image)
+    (check_engines "fuel-after-block" ~fuel:12 image)
 
 (* A checked load whose address operand carries the wrong tag aborts the
    block after its executed prefix; the pre-summed statistics of the
@@ -247,7 +244,7 @@ let test_checked_load_trap () =
         Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "checked-load-trap" image in
+  let r = check_engines "checked-load-trap" image in
   expect_outcome "checked-load-trap"
     (Printf.sprintf "aborted %d" Machine.err_type)
     r;
@@ -265,7 +262,7 @@ let test_div_zero () =
         Buf.emit b add;
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "div-zero" image in
+  let r = check_engines "div-zero" image in
   expect_outcome "div-zero" (Printf.sprintf "aborted %d" Machine.err_div0) r;
   Alcotest.(check int) "div-zero: three retirements" 3
     (Stats.executed_insns (snd r))
@@ -284,7 +281,7 @@ let test_interlocks () =
         Buf.emit b (Insn.Alu (Insn.Add, Reg.v0, Reg.t2, Reg.t2));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "interlock-in-block" in_block in
+  let r = check_engines "interlock-in-block" in_block in
   expect_outcome "interlock-in-block" "halted 14" r;
   Alcotest.(check int) "interlock-in-block: one interlock" 1
     (snd r).Stats.interlocks;
@@ -302,22 +299,20 @@ let test_interlocks () =
         Buf.emit b (Insn.Alu (Insn.Add, Reg.v0, Reg.t2, Reg.t2));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "interlock-across-blocks" across_blocks in
+  let r = check_engines "interlock-across-blocks" across_blocks in
   expect_outcome "interlock-across-blocks" "halted 18" r;
   Alcotest.(check int) "interlock-across-blocks: one interlock" 1
     (snd r).Stats.interlocks
 
-(* Attaching an engine twice must not recompile: the closure and block
-   arrays stay physically the same (the structural [= [||]] staleness
-   test recompiled empty-code machines forever). *)
+(* Attaching an engine twice must not recompile: the block array stays
+   physically the same (the structural [= [||]] staleness test
+   recompiled empty-code machines forever). *)
 let test_attach_idempotent () =
   let image = assemble (fun b -> Buf.emit b Insn.Halt) in
   let m = Machine.create ~engine:`Fused ~hw image in
   Fuse.attach m;
-  let exec = m.Machine.exec and blocks = m.Machine.blocks in
+  let blocks = m.Machine.blocks in
   Fuse.attach m;
-  Predecode.attach m;
-  Alcotest.(check bool) "exec array reused" true (exec == m.Machine.exec);
   Alcotest.(check bool) "block array reused" true (blocks == m.Machine.blocks)
 
 (* --- Superblock traces: promotion, side exits, exactness. --- *)
@@ -366,7 +361,7 @@ let test_trace_promotion () =
     (run_and_count 1_000_000);
   Alcotest.(check bool) "hot loop: trace formed" true (run_and_count 4 > 0);
   let tt0 = Machine.trace_counters () in
-  let r = check_four "trace-promotion" ~threshold:4 image in
+  let r = check_engines "trace-promotion" ~threshold:4 image in
   expect_outcome "trace-promotion" "halted 50" r;
   let tt1 = Machine.trace_counters () in
   Alcotest.(check bool) "trace counters advanced" true
@@ -379,7 +374,7 @@ let test_trace_promotion () =
    deltas. *)
 let test_trace_side_exit () =
   let tt0 = Machine.trace_counters () in
-  let r = check_four "trace-side-exit" ~threshold:4 (counted_loop 37) in
+  let r = check_engines "trace-side-exit" ~threshold:4 (counted_loop 37) in
   expect_outcome "trace-side-exit" "halted 37" r;
   let tt1 = Machine.trace_counters () in
   Alcotest.(check bool) "side exit taken" true
@@ -390,7 +385,7 @@ let test_trace_side_exit () =
    must replace them with the annul accounting (2 squashed cycles). *)
 let test_trace_squash_taken () =
   let r =
-    check_four "trace-squash-taken" ~threshold:4
+    check_engines "trace-squash-taken" ~threshold:4
       (counted_loop ~squash:true 29)
   in
   expect_outcome "trace-squash-taken" "halted 29" r;
@@ -417,7 +412,7 @@ let test_trace_squash_fall () =
         Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "trace-squash-fall" ~threshold:4 image in
+  let r = check_engines "trace-squash-fall" ~threshold:4 image in
   expect_outcome "trace-squash-fall" (Printf.sprintf "halted %d" n) r;
   (* every not-taken iteration annuls the two slots *)
   Alcotest.(check int) "trace-squash-fall: annulled pairs" (2 * (n - 1))
@@ -453,7 +448,7 @@ let test_trace_indirect () =
     done;
     Machine.poke m (table + (4 * (n - 1))) done_
   in
-  let r = check_four "trace-indirect" ~threshold:4 ~setup image in
+  let r = check_engines "trace-indirect" ~threshold:4 ~setup image in
   expect_outcome "trace-indirect" (Printf.sprintf "halted %d" n) r
 
 (* Division by zero on a late iteration: the abort lands mid-trace and
@@ -477,7 +472,7 @@ let test_trace_div_zero () =
         Buf.emit b (Insn.Mv (Reg.v0, Reg.t0));
         Buf.emit b Insn.Halt)
   in
-  let r = check_four "trace-div-zero" ~threshold:4 image in
+  let r = check_engines "trace-div-zero" ~threshold:4 image in
   expect_outcome "trace-div-zero"
     (Printf.sprintf "aborted %d" Machine.err_div0)
     r
@@ -520,7 +515,7 @@ let test_trace_garith () =
       ~add:(Image.code_address image "gadd")
       ~sub:(Image.code_address image "gadd")
   in
-  let r = check_four "trace-garith" ~threshold:4 ~setup image in
+  let r = check_engines "trace-garith" ~threshold:4 ~setup image in
   expect_outcome "trace-garith" (Printf.sprintf "halted %d" n) r;
   Alcotest.(check int) "trace-garith: one trap" 1 (snd r).Stats.traps
 
@@ -557,7 +552,7 @@ let test_trace_cross_interlock () =
         Buf.emit b (branch Insn.Eq Reg.t2 Reg.t7 "loop");
         Buf.emit b (Insn.Trap 1))
   in
-  let r = check_four "trace-cross-interlock" ~threshold:4 image in
+  let r = check_engines "trace-cross-interlock" ~threshold:4 image in
   expect_outcome "trace-cross-interlock" (Printf.sprintf "halted %d" n) r;
   Alcotest.(check bool) "trace-cross-interlock: interlocks probed" true
     ((snd r).Stats.interlocks >= n - 2)
@@ -566,7 +561,7 @@ let test_trace_cross_interlock () =
    pre-pays a whole trace, so it must fall back to blocks (and then to
    single steps) and stop at the identical retirement count. *)
 let test_trace_fuel () =
-  let r = check_four "trace-fuel" ~threshold:4 ~fuel:97 (counted_loop 50) in
+  let r = check_engines "trace-fuel" ~threshold:4 ~fuel:97 (counted_loop 50) in
   expect_outcome "trace-fuel" "out-of-fuel" r;
   let _, rs = run_raw ~fuel:97 (counted_loop 50) `Reference in
   Alcotest.(check int) "trace-fuel: retirements"
@@ -591,6 +586,119 @@ let test_trace_attach_idempotent () =
   | None -> Alcotest.fail "re-attach dropped the trace state");
   Alcotest.(check bool) "fused blocks attached too" true
     (Array.length m.Machine.blocks > 0)
+
+(* --- The hand-off to the reference step: pcs that lead no fused
+   block.  No registry benchmark reaches these paths, so raw images do.
+   --- *)
+
+(* Replace the no-op the assembler padded into code address [at] (a
+   delay slot: [Sched.off] fills every slot with a no-op, and the
+   assembler accepts nothing else there) with [insn]. *)
+let with_slot (image : Image.t) ~at insn =
+  let code = Array.copy image.Image.code in
+  (match code.(at).Image.insn with
+  | Insn.Nop -> ()
+  | _ -> Alcotest.failf "code address %d is not a padded delay slot" at);
+  code.(at) <- { (code.(at)) with Image.insn };
+  { image with Image.code }
+
+(* A counted loop whose back branch carries [Add_gen t2, t2, t3] in its
+   first delay slot, [t3] loaded from a table each iteration.  Fusion
+   leaves the branch unfused (generic arithmetic may trap, and a trap
+   in a slot is an error), so every iteration ends with a fused block
+   falling through to the branch, which the run loop retires with the
+   reference step — under the traced engine too, whose hot head then
+   cannot start a trace. *)
+let garith_slot_loop ~trap_last n =
+  let table = 2048 in
+  let int_item k = Scheme.encode_int scheme k in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t1, n));
+        Buf.emit b (Insn.Li (Reg.t2, int_item 0));
+        Buf.emit b (Insn.Li (Reg.t4, table));
+        Buf.label b "loop";
+        Buf.emit b (Insn.Ld (Insn.Plain, Reg.t3, Reg.t4, 0));
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t4, Reg.t4, 4));
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
+        Buf.emit b Insn.Halt)
+  in
+  let slot = Image.code_address image "loop" + 4 in
+  let image = with_slot image ~at:slot (Insn.Add_gen (Reg.t2, Reg.t2, Reg.t3)) in
+  let setup m =
+    for i = 0 to n - 1 do
+      let item =
+        if trap_last && i = n - 1 then
+          Scheme.encode_ptr scheme Scheme.Pair (256 * 8)
+        else int_item 1
+      in
+      Machine.poke m (table + (4 * i)) item
+    done
+  in
+  (image, setup)
+
+let test_garith_slot () =
+  let n = 20 in
+  let image, setup = garith_slot_loop ~trap_last:false n in
+  let r = check_engines "garith-slot" ~threshold:4 ~setup image in
+  expect_outcome "garith-slot"
+    (Printf.sprintf "halted %d" (Scheme.encode_int scheme n))
+    r;
+  (* fuel running out inside the loop, on either side of the hand-off *)
+  List.iter
+    (fun fuel ->
+      expect_outcome "garith-slot-fuel" "out-of-fuel"
+        (check_engines "garith-slot-fuel" ~threshold:4 ~fuel ~setup image))
+    [ 37; 38; 39 ]
+
+(* The same loop with a non-integer operand on the last iteration: the
+   generic-arithmetic trap lands in a delay slot, which the reference
+   rejects with an error, and every engine must raise that same error
+   with the same statistics. *)
+let test_garith_slot_trap () =
+  let image, setup = garith_slot_loop ~trap_last:true 20 in
+  let outcome, _ =
+    check_engines "garith-slot-trap" ~threshold:4 ~setup image
+  in
+  let msg = outcome_str outcome in
+  Alcotest.(check bool)
+    ("garith-slot-trap: delay-slot trap error, got " ^ msg)
+    true
+    (String.starts_with ~prefix:"error: generic-arithmetic trap in a delay slot"
+       msg)
+
+(* An indirect jump into the middle of a straight-line run: the target
+   leads no block, so the fused and traced run loops step it (and the
+   rest of the run up to the next leader) with the reference step. *)
+let test_jr_mid_run () =
+  let n = 20 in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t1, n));
+        Buf.emit b (Insn.Li (Reg.t2, 0));
+        Buf.label b "loop";
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (Insn.Jr Reg.t3);
+        (* the fall-through leader after the jump's slots; skipped *)
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t2, Reg.t2, 1000));
+        (* the jump target: no label, so no leader *)
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t2, Reg.t2, 1));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
+        Buf.emit b Insn.Halt)
+  in
+  (* loop: add, jr, two padded slots, the skipped add, the target *)
+  let target = Image.code_address image "loop" + 5 in
+  let blocks = Fuse.compile (Machine.create ~engine:`Fused ~hw image) in
+  Alcotest.(check bool) "jr-mid-run: target leads no block" true
+    (blocks.(target) = None);
+  let setup m = Machine.set_reg m Reg.t3 target in
+  let r = check_engines "jr-mid-run" ~threshold:4 ~setup image in
+  expect_outcome "jr-mid-run" (Printf.sprintf "halted %d" n) r
 
 (* The memoised matrix driver must return the same measurements, in the
    same order, for any worker count. *)
@@ -643,6 +751,9 @@ let suite =
             test_checked_load_trap;
           Alcotest.test_case "div-zero" `Quick test_div_zero;
           Alcotest.test_case "interlocks" `Quick test_interlocks;
+          Alcotest.test_case "garith-slot" `Quick test_garith_slot;
+          Alcotest.test_case "garith-slot-trap" `Quick test_garith_slot_trap;
+          Alcotest.test_case "jr-mid-run" `Quick test_jr_mid_run;
           Alcotest.test_case "attach-idempotent" `Quick
             test_attach_idempotent;
           Alcotest.test_case "trace-promotion" `Quick test_trace_promotion;

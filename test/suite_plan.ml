@@ -70,7 +70,7 @@ let test_planner_dedup () =
 
 (* Locked headline values for the inter+trav suite under the reference
    engine (all engines are bit-identical, so these also lock the
-   predecoded and fused engines through the differential suite).  If a
+   fused and traced engines through the differential suite).  If a
    legitimate cost-model change moves them, re-derive with:
      Planner.plan ~jobs:1 ~engine:`Reference
        ~entries:(inter+trav) Planner.artifacts *)
