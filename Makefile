@@ -1,6 +1,6 @@
 # Convenience targets; the build itself is plain dune.
 
-.PHONY: all build test check bench experiments results clean clean-cache
+.PHONY: all build test check experiments results clean clean-cache
 
 all: build
 
@@ -15,9 +15,6 @@ test: build
 check: build
 	dune runtest
 	dune exec bin/tagsim_cli.exe -- experiments --only table3 --jobs 2
-
-bench: build
-	dune exec bench/main.exe
 
 experiments: build
 	dune exec bin/tagsim_cli.exe -- experiments --jobs 0

@@ -58,22 +58,29 @@ let opt_arg =
            to the monolithic oracle) or $(b,checks) (tag-knowledge \
            check elimination over the typed tag-operation IR).")
 
-let engine_arg =
+(* A converter over a fixed set of names: an unknown name is a usage
+   error (exit 124) that lists the valid ones. *)
+let named_conv ~what ~names ~find ~name =
   let parse s =
-    match Tagsim.Machine.engine_by_name s with
-    | Some e -> Ok e
+    match find s with
+    | Some v -> Ok v
     | None ->
         Error
           (`Msg
-             (Fmt.str "unknown engine: %s (valid engines: %s)" s
-                (String.concat ", "
-                   (List.map Tagsim.Machine.engine_name
-                      Tagsim.Machine.engine_all))))
+             (Fmt.str "unknown %s: %s (valid %ss: %s)" what s what
+                (String.concat ", " names)))
   in
-  let print ppf e = Fmt.string ppf (Tagsim.Machine.engine_name e) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (name v))
+
+let engine_arg =
+  let module M = Tagsim.Machine in
   Arg.(
     value
-    & opt (conv (parse, print)) `Traced
+    & opt
+        (named_conv ~what:"engine"
+           ~names:(List.map M.engine_name M.engine_all)
+           ~find:M.engine_by_name ~name:M.engine_name)
+        `Traced
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Simulator engine: $(b,traced) (default; profile-guided \
@@ -146,15 +153,22 @@ let sizes_of (entry_sizes : Tagsim.Layout.sizes) semi : Tagsim.Layout.sizes =
 (* --- run --- *)
 
 let bench_name =
+  let module B = Tagsim.Benchmarks in
+  let benchmark =
+    named_conv ~what:"benchmark" ~names:(B.names ())
+      ~find:(fun s -> List.find_opt (fun e -> e.B.name = s) (B.all ()))
+      ~name:(fun e -> e.B.name)
+  in
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some benchmark) None
     & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,tagsim list)).")
 
 let run_cmd =
-  let run name scheme checking config semi opt engine =
-    let entry = Tagsim.Benchmarks.find name in
-    Fmt.pr "== %s: %s@." name entry.Tagsim.Benchmarks.description;
+  let run (entry : Tagsim.Benchmarks.entry) scheme checking config semi opt
+      engine =
+    Fmt.pr "== %s: %s@." entry.Tagsim.Benchmarks.name
+      entry.Tagsim.Benchmarks.description;
     run_program entry.Tagsim.Benchmarks.source
       (sizes_of entry.Tagsim.Benchmarks.sizes semi)
       scheme
@@ -210,8 +224,7 @@ let list_cmd =
 (* --- asm --- *)
 
 let asm_cmd =
-  let run name scheme checking config opt =
-    let entry = Tagsim.Benchmarks.find name in
+  let run (entry : Tagsim.Benchmarks.entry) scheme checking config opt =
     let program =
       Tagsim.Program.compile ~opt ~sizes:entry.Tagsim.Benchmarks.sizes ~scheme
         ~support:(support_of checking config)
@@ -226,8 +239,7 @@ let asm_cmd =
 (* --- profile --- *)
 
 let profile_cmd =
-  let run name scheme checking config =
-    let entry = Tagsim.Benchmarks.find name in
+  let run entry scheme checking config =
     let rows =
       Tagsim.Analysis.Profile.measure ~scheme
         ~support:(support_of checking config)
@@ -425,9 +437,14 @@ let experiments_cmd =
     if verbose then print_run_summary ()
   in
   let only =
+    let artifact =
+      named_conv ~what:"artifact" ~names:(Planner.names ())
+        ~find:(fun s -> if List.mem s (Planner.names ()) then Some s else None)
+        ~name:Fun.id
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list artifact) []
       & info [ "only" ] ~docv:"NAMES"
           ~doc:
             "Comma-separated subset of table1, figure1, figure2, table2, \

@@ -51,7 +51,7 @@ module Prelude = Tagsim_compiler.Prelude
    4: checked multiplies verify their product by dividing it back. *)
 let version = "4"
 
-(* Configured once by the CLI/bench entry point before any fan-out;
+(* Configured once by the CLI entry point before any fan-out;
    plain refs because workers only read them. Disabled by default so
    that library users (tests above all) opt in explicitly. *)
 let enabled_flag = ref false

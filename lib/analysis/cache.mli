@@ -21,7 +21,7 @@ module Program := Tagsim_compiler.Program
 val version : string
 
 (** The store is disabled by default (library users, e.g. tests, opt
-    in); the CLI and bench front ends enable it unless [--no-cache]. *)
+    in); the CLI enables it unless [--no-cache]. *)
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit

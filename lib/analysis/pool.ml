@@ -12,14 +12,15 @@
     of a benchmark configuration) is seconds-coarse. *)
 
 (* Number of workers used when [map] is not given an explicit [jobs]:
-   set once by the CLI/bench [--jobs] flag.  1 (strictly serial) until
+   set once by the CLI's [--jobs] flag.  1 (strictly serial) until
    then. *)
 let default_jobs = ref 1
 
 (* The recommended count, clamped to [1, 16]: every task is a
    seconds-coarse compile+simulate, so past ~16 workers the matrix
    (a few hundred cells at most) stops scaling while memory cost
-   (one ~4 MiB machine per in-flight task) keeps growing. *)
+   (an 8 MB host int array per 4 MiB of simulated memory, per
+   in-flight task) keeps growing. *)
 let recommended () = max 1 (min 16 (Domain.recommended_domain_count ()))
 
 (** Clamp and install the default worker count; [jobs <= 0] means

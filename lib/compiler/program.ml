@@ -117,10 +117,6 @@ type t = {
      both fixed per program, never the machine).  [[||]] until first
      use; guarded by length, as in [Fuse.attach]. *)
   mutable blocks_cache : Machine.block option array;
-  mutable tstate_cache : Machine.tstate option;
-      (* the traced engine's heat/edge profile and formed traces,
-         likewise shared across machines so traces learned by one run
-         serve the next *)
 }
 
 let count_lines src =
@@ -271,7 +267,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     mem_bytes;
     meta;
     blocks_cache = [||];
-    tstate_cache = None;
   }
 
 let compile ?backend ?opt ?sched ?sizes ?mem_bytes ~scheme ~support source : t =
@@ -390,13 +385,8 @@ let load ?fuel ?(engine = `Traced) t =
   | `Traced ->
       if Array.length t.blocks_cache = code_len then
         m.Machine.blocks <- t.blocks_cache;
-      (match t.tstate_cache with
-      | Some ts when Array.length ts.Machine.ts_traces = code_len ->
-          m.Machine.tstate <- Some ts
-      | _ -> ());
       Trace.attach m;
-      t.blocks_cache <- m.Machine.blocks;
-      t.tstate_cache <- m.Machine.tstate);
+      t.blocks_cache <- m.Machine.blocks);
   let map =
     L.compute_map ~data_end:t.image.Image.data_end ~sizes:t.sizes
       ~mem_bytes:t.mem_bytes

@@ -31,11 +31,11 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Engine-attachment caches, compiled on first [load] and shared by
-     every later machine for this program (the closures capture only the
-     image and hardware configuration, never a machine). *)
+  (* Engine-attachment cache: the fused block array, compiled on first
+     [load] and shared by every later machine for this program (the
+     closures capture only the image and hardware configuration, never
+     a machine). *)
   mutable blocks_cache : Machine.block option array;
-  mutable tstate_cache : Machine.tstate option;
 }
 
 (** {1 Staged pipeline}
@@ -134,10 +134,11 @@ val plan_key : t -> string
 (** Create a machine, poke the memory-map words and register the trap
     handlers; ready to run from address 0.  [engine] selects the
     simulator engine (default [`Traced], the fast path; all engines
-    produce bit-identical statistics).  Under [`Traced], the program's
-    tstate (heat, edge profile, formed traces) is shared by every
-    machine it loads, so a later run starts with the traces an earlier
-    one formed online. *)
+    produce bit-identical statistics).  The fused block array is
+    compiled once per program and shared by every machine it loads
+    under [`Fused] or [`Traced]; a [`Traced] machine gets a fresh
+    tstate (heat, edge profile and an empty trace table), so every run
+    forms its own traces online. *)
 val load : ?fuel:int -> ?engine:Machine.engine -> t -> Machine.t * L.map
 
 (** [run] is [load] + [Machine.run] + result decoding. *)

@@ -955,10 +955,3 @@ let compile (m : M.t) : M.block option array =
 let attach (m : M.t) =
   if Array.length m.M.blocks <> Array.length m.M.code then
     m.M.blocks <- compile m
-
-(** Convenience: a machine created with the fused engine already
-    attached. *)
-let create ?fuel ~hw image =
-  let m = M.create ?fuel ~engine:`Fused ~hw image in
-  attach m;
-  m

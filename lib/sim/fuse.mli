@@ -35,9 +35,6 @@ val compile : Machine.t -> Machine.block option array
     [Machine.run] on a machine created with [~engine:`Fused]. *)
 val attach : Machine.t -> unit
 
-(** Convenience: [Machine.create ~engine:`Fused] plus {!attach}. *)
-val create : ?fuel:int -> hw:Machine.hw -> Image.t -> Machine.t
-
 (** {1 Fusion building blocks (shared with {!Trace})} *)
 
 (** A fused continuation returns the successor pc, or {!stopped} (any

@@ -113,8 +113,8 @@ and block = {
   mutable b_next2 : block option;
 }
 
-(* Trace-engine state, one per attached code image (shareable between
-   machines running the same image, like [blocks]).  [ts_heat] counts
+(* Trace-engine state, one per traced machine ([Trace.attach] builds a
+   fresh one with an empty trace table).  [ts_heat] counts
    block entries per leader while non-negative; crossing [ts_threshold]
    saturates the counter to [min_int] and calls [ts_form], which either
    installs a superblock trace in [ts_traces] (permanently hot) or —
@@ -122,9 +122,7 @@ and block = {
    accumulates — resets the counter to retry.  [ts_succ1]/[ts_cnt1] and
    [ts_succ2]/[ts_cnt2] are a two-entry successor profile per leader
    (CLOCK-style decay on conflict), consulted by trace formation to pick
-   the dominant path.  All of it is racily shared across domains by
-   design: a torn or stale read can only delay or re-run formation,
-   never corrupt execution — traces are validated like block memos. *)
+   the dominant path. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;

@@ -103,10 +103,9 @@ and block = {
     heat, a two-entry successor profile with decay, and the formed
     traces.  [ts_heat] saturates to [min_int] when a leader crosses
     [ts_threshold] and [ts_form] runs (installing a trace or, when more
-    profile is needed, resetting the counter to retry).  Shareable
-    between machines running the same image; racy profile updates only
-    delay or repeat formation, never corrupt execution.  Traces are
-    formed online only: a fresh tstate starts with an empty table. *)
+    profile is needed, resetting the counter to retry).  One per
+    machine: {!Trace.attach} builds a fresh tstate with an empty trace
+    table, and traces are formed online only. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;

@@ -552,8 +552,3 @@ let attach ?(threshold = default_threshold) (m : M.t) =
             M.ts_threshold = threshold;
             M.ts_form = form;
           }
-
-let create ?fuel ?threshold ~hw image =
-  let m = M.create ?fuel ~engine:`Traced ~hw image in
-  attach ?threshold m;
-  m

@@ -15,8 +15,6 @@
     [Out_of_fuel] tail included (enforced by the engine differential
     suite). *)
 
-module Image := Tagsim_asm.Image
-
 (** Block entries before a leader is considered hot (default 32).
     Tests pass a small threshold to force early formation. *)
 val default_threshold : int
@@ -28,11 +26,7 @@ val max_segments : int
     state — heat and edge-profile counters and the (initially empty)
     trace table — on the machine; idempotent and length-guarded like
     the other engines' attach.  Required before [Machine.run] on a
-    machine created with [~engine:`Traced].  The state may be shared
-    between machines running the same image: formed traces are
-    validated like block memos, and racy profile updates only delay or
-    repeat formation. *)
+    machine created with [~engine:`Traced].  The state belongs to that
+    machine: each machine starts with an empty trace table and forms
+    its traces online. *)
 val attach : ?threshold:int -> Machine.t -> unit
-
-(** Convenience: [Machine.create ~engine:`Traced] plus {!attach}. *)
-val create : ?fuel:int -> ?threshold:int -> hw:Machine.hw -> Image.t -> Machine.t
